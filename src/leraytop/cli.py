@@ -54,10 +54,14 @@ def _emit(report, started=None):
 
 
 def _read_text(path):
-    if path in (None, "-"):
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path in (None, "-"):
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise io_json.FormatError("cannot read %s: %s"
+                                  % (path or "stdin", exc)) from None
 
 
 # -- seeded instances -----------------------------------------------------
@@ -158,18 +162,25 @@ def _batch_worker(args):
 
 
 def _run_batch(kind, seeds, options, workers):
+    """Emit every report; returns the instance counts by outcome: "held",
+    "skipped" (a guard refused it) and "failed"."""
     jobs = [(kind, seed, options) for seed in seeds]
-    all_ok = True
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_worker, jobs))
     else:
         results = [_batch_worker(j) for j in jobs]
+    counts = {"held": 0, "skipped": 0, "failed": 0}
     for _, reports in sorted(results, key=lambda t: t[0]):
         for rep in reports:
             _emit(rep)
-            all_ok = all_ok and bool(rep.get("holds", False))
-    return all_ok
+        if not all(rep.get("holds", False) for rep in reports):
+            counts["failed"] += 1
+        elif any(rep.get("skipped") for rep in reports):
+            counts["skipped"] += 1
+        else:
+            counts["held"] += 1
+    return counts
 
 
 # -- subcommands ----------------------------------------------------------
@@ -254,10 +265,10 @@ def _cmd_helly(args):
 def _cmd_amenta(args):
     if args.count is not None:
         seeds = range(args.seed, args.seed + args.count)
-        ok = _run_batch("amenta", seeds,
-                        {"d": args.d, "r": args.r, "groups": args.groups},
-                        args.workers)
-        return EXIT_OK if ok else EXIT_CLAIM_FAILED
+        counts = _run_batch("amenta", seeds,
+                            {"d": args.d, "r": args.r, "groups": args.groups},
+                            args.workers)
+        return EXIT_CLAIM_FAILED if counts["failed"] else EXIT_OK
     d, members = io_json.family_from_json(_read_text(args.file))
     pieces = {}
     grouping = []
@@ -286,11 +297,12 @@ def _cmd_check(args):
                "d": args.d, "r": args.r, "groups": args.groups}
     if args.count is not None:
         seeds = range(args.seed, args.seed + args.count)
-        ok = _run_batch(args.kind, seeds, options, args.workers)
-        print("checked %d seeded instances of %s: %s"
-              % (args.count, args.kind, "all hold" if ok else "FAILURE"),
+        counts = _run_batch(args.kind, seeds, options, args.workers)
+        print("checked %d seeded instances of %s: %d held, %d skipped "
+              "(guard), %d failed" % (args.count, args.kind, counts["held"],
+                                      counts["skipped"], counts["failed"]),
               file=sys.stderr)
-        return EXIT_OK if ok else EXIT_CLAIM_FAILED
+        return EXIT_CLAIM_FAILED if counts["failed"] else EXIT_OK
     # single instance from a file or stdin
     text = _read_text(args.file)
     if args.kind == "lproj":

@@ -210,9 +210,12 @@ def link(X, A):
         raise ComplexError("simplex %r not in complex" % (A,))
     if not A:
         return X
+    # f - A for the facets f containing A are pairwise incomparable
+    # (f - A <= g - A would give f <= g), so they are the link's facets.
     aset = set(A)
-    cands = {tuple(sorted(set(f) - aset)) for f in X.facets if aset <= set(f)}
-    return SimplicialComplex(X.vertex_count, _maximal(cands), labels=X.labels)
+    facets = [tuple([v for v in f if v not in aset])
+              for f in X.facets if aset.issubset(f)]
+    return SimplicialComplex(X.vertex_count, facets, labels=X.labels)
 
 
 def join(X1, X2):

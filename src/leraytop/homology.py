@@ -53,49 +53,37 @@ class BettiVector:
 
 
 def rank_of_rows(rows) -> int:
-    """Exact rank over Q of an integer matrix given as sparse rows."""
-    work = [dict(r) for r in rows if r]
-    rank = 0
-    while work:
-        # deterministic pivot: smallest |entry|, then sparsest row
-        best = None
-        for ri, row in enumerate(work):
-            for c, v in row.items():
-                key = (abs(v), len(row), c)
-                if best is None or key < best[0]:
-                    best = (key, ri, c)
-            if best[0][0] == 1 and best[0][1] <= 2:
+    """Exact rank over Q of an integer matrix given as sparse rows (dicts
+    col -> nonzero entry).
+
+    Incremental fraction-free echelon form: pivot rows are kept by their
+    largest column c; a row x is reduced by x <- p[c]*x - x[c]*p (both
+    factors over their gcd) and divided by its content until its largest
+    column has no pivot, and then becomes one unless it vanished.
+    """
+    pivots = {}
+    for row in rows:
+        x = dict(row)
+        while x:
+            c = max(x)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = x
                 break
-        _, ri, pc = best
-        prow = work.pop(ri)
-        pv = prow[pc]
-        rank += 1
-        nxt = []
-        for row in work:
-            a = row.pop(pc, None)
-            if a is None:
-                nxt.append(row)
-                continue
-            nr = {c: pv * v for c, v in row.items()}
-            for c, v in prow.items():
-                if c == pc:
-                    continue
-                w = nr.get(c, 0) - a * v
+            g = gcd(p[c], x[c])
+            a, b = p[c] // g, x[c] // g
+            if a != 1:
+                x = {k: a * v for k, v in x.items()}
+            for k, v in p.items():
+                w = x.get(k, 0) - b * v
                 if w:
-                    nr[c] = w
-                elif c in nr:
-                    del nr[c]
-            if nr:
-                g = 0
-                for v in nr.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    nr = {c: v // g for c, v in nr.items()}
-                nxt.append(nr)
-        work = nxt
-    return rank
+                    x[k] = w
+                else:
+                    del x[k]
+            g = gcd(*x.values())
+            if g > 1:
+                x = {k: v // g for k, v in x.items()}
+    return len(pivots)
 
 
 def boundary_matrices(X: SimplicialComplex,
@@ -155,9 +143,3 @@ def euler_characteristic(X: SimplicialComplex, guard=DEFAULT_SIMPLEX_GUARD):
     for s in X.all_simplices(guard=guard):
         total += -1 if len(s) % 2 == 0 else 1
     return total
-
-
-def is_rationally_acyclic(X, guard=DEFAULT_SIMPLEX_GUARD) -> bool:
-    """All reduced Betti numbers (degrees >= 0) vanish."""
-    rb = reduced_betti(X, guard=guard)
-    return all(b == 0 for b in rb.reduced)

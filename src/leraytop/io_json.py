@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .core import ComplexError, SimplicialComplex, make_complex
-from .helly import Box, BoxFamily, FamilyError, make_box
+from .helly import FamilyError, make_box
 from .multiproj import PartitionedComplex, make_partitioned
 
 
@@ -23,43 +23,45 @@ def _canon_dumps(obj):
     return json.dumps(obj, separators=(", ", ": ")) + "\n"
 
 
-def _sorted_facets(X: SimplicialComplex):
-    return [list(f) for f in sorted(X.facets)]
+def _complex_doc(X: SimplicialComplex):
+    labels = list(X.labels) if X.labels is not None else \
+        ["v%d" % i for i in range(X.vertex_count)]
+    return {"vertices": [str(l) for l in labels],
+            "facets": [list(f) for f in sorted(X.facets)]}
 
 
 def complex_to_json(X: SimplicialComplex) -> str:
-    labels = list(X.labels) if X.labels is not None else \
-        ["v%d" % i for i in range(X.vertex_count)]
-    return _canon_dumps({"vertices": [str(l) for l in labels],
-                         "facets": _sorted_facets(X)})
+    return _canon_dumps(_complex_doc(X))
 
 
-def _parse_facets(doc, n):
-    facets = doc.get("facets")
-    if not isinstance(facets, list):
-        raise FormatError("field 'facets' must be a list of vertex-id lists")
-    for f in facets:
-        if not isinstance(f, list) or not all(isinstance(v, int) for v in f):
-            raise FormatError("facet %r is not a list of integers" % (f,))
-        for v in f:
-            if not 0 <= v < n:
-                raise FormatError("facet vertex %d outside table of size %d"
-                                  % (v, n))
-    return facets
+def _is_int(v):
+    """A JSON integer; JSON booleans load as bool, an int subclass."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def complex_from_json(text: str) -> SimplicialComplex:
+def _load_object(text, *fields):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError("invalid JSON: %s" % exc) from None
-    if not isinstance(doc, dict) or "vertices" not in doc:
-        raise FormatError("expected an object with a 'vertices' field")
-    vertices = doc["vertices"]
+    if not isinstance(doc, dict) or any(f not in doc for f in fields):
+        raise FormatError("expected an object with fields %s"
+                          % ", ".join(repr(f) for f in fields))
+    return doc
+
+
+def _complex_from_doc(doc) -> SimplicialComplex:
+    vertices, facets = doc["vertices"], doc.get("facets")
     if not isinstance(vertices, list):
         raise FormatError("field 'vertices' must be a list of labels")
+    if not isinstance(facets, list):
+        raise FormatError("field 'facets' must be a list of vertex-id lists")
     n = len(vertices)
-    facets = _parse_facets(doc, n)
+    for f in facets:
+        if not isinstance(f, list) or not all(
+                _is_int(v) and 0 <= v < n for v in f):
+            raise FormatError("facet %r is not a list of vertex ids below %d"
+                              % (f, n))
     try:
         return make_complex(facets, allow_void=True, vertex_count=n,
                             labels=[str(v) for v in vertices])
@@ -67,28 +69,21 @@ def complex_from_json(text: str) -> SimplicialComplex:
         raise FormatError(str(exc)) from None
 
 
+def complex_from_json(text: str) -> SimplicialComplex:
+    return _complex_from_doc(_load_object(text, "vertices"))
+
+
 def partitioned_to_json(px: PartitionedComplex) -> str:
-    X = px.complex
-    labels = list(X.labels) if X.labels is not None else \
-        ["v%d" % i for i in range(X.vertex_count)]
-    return _canon_dumps({"vertices": [str(l) for l in labels],
-                         "facets": _sorted_facets(X),
-                         "parts": [list(p) for p in px.parts]})
+    return _canon_dumps(dict(_complex_doc(px.complex),
+                             parts=[list(p) for p in px.parts]))
 
 
 def partitioned_from_json(text: str) -> PartitionedComplex:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError("invalid JSON: %s" % exc) from None
-    if not isinstance(doc, dict) or "parts" not in doc:
-        raise FormatError("expected an object with a 'parts' field")
-    X = complex_from_json(json.dumps(
-        {"vertices": doc.get("vertices", []),
-         "facets": doc.get("facets", [])}))
+    doc = _load_object(text, "vertices", "parts")
+    X = _complex_from_doc(doc)
     parts = doc["parts"]
     if not isinstance(parts, list) or not all(
-            isinstance(p, list) and all(isinstance(v, int) for v in p)
+            isinstance(p, list) and all(_is_int(v) for v in p)
             for p in parts):
         raise FormatError("field 'parts' must be a list of vertex-id lists")
     try:
@@ -104,9 +99,11 @@ def _rational_str(x: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
+    if isinstance(s, bool):
+        raise FormatError("malformed rational %r" % (s,))
     try:
         value = Fraction(s)
-    except (ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise FormatError("malformed rational %r" % (s,)) from None
     return value
 
@@ -122,36 +119,28 @@ def family_to_json(d, members) -> str:
 
 def family_from_json(text: str):
     """Returns (d, {name: [Box, ...]})."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError("invalid JSON: %s" % exc) from None
-    if not isinstance(doc, dict) or "d" not in doc or "members" not in doc:
-        raise FormatError("expected an object with 'd' and 'members' fields")
+    doc = _load_object(text, "d", "members")
     d = doc["d"]
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise FormatError("field 'd' must be a positive integer")
+    if not isinstance(doc["members"], dict):
+        raise FormatError("field 'members' must map names to box lists")
     members = {}
     for name, boxes in doc["members"].items():
         if not isinstance(boxes, list):
             raise FormatError("member %r must be a list of boxes" % (name,))
         parsed = []
         for b in boxes:
-            if not isinstance(b, list) or len(b) != d:
-                raise FormatError("box %r of member %r must have %d axes"
-                                  % (b, name, d))
+            if not isinstance(b, list) or len(b) != d or not all(
+                    isinstance(axis, list) and len(axis) == 2 for axis in b):
+                raise FormatError("box %r of member %r must have %d "
+                                  "[lo, hi] axes" % (b, name, d))
             try:
                 parsed.append(make_box(
                     [(parse_rational(lo), parse_rational(hi))
                      for lo, hi in b]))
-            except (FamilyError, TypeError, ValueError) as exc:
+            except FamilyError as exc:
                 raise FormatError("bad box in member %r: %s"
                                   % (name, exc)) from None
         members[str(name)] = parsed
     return d, members
-
-
-def grouped_box_family_to_json(fr) -> str:
-    members = {g: [fr.base.members[p] for p in pieces]
-               for g, pieces in fr.groups}
-    return family_to_json(fr.dimension, members)

@@ -71,13 +71,23 @@ def leray_by_definition(X: SimplicialComplex, cap=DEFAULT_DEFINITION_CAP,
 def leray_by_links(X: SimplicialComplex,
                    guard=DEFAULT_SIMPLEX_GUARD) -> LerayCertificate:
     """L(X) by scanning the links of all simplices (including the empty
-    one); polynomial in the number of simplices."""
+    one); polynomial in the number of simplices.
+
+    Pruned but exact: reduced homology of lk(sigma) vanishes above its
+    dimension, which is at most dim X - |sigma|.  Simplices come by size,
+    so the scan stops once dim X - |sigma| <= best and skips links of
+    dimension <= best; neither can improve on best, so the witness is
+    still the first strict improvement in scan order.
+    """
     best = -1
     witness = None
     if not X.is_void():
+        dim_x = X.dim
         for sigma in X.all_simplices(include_empty=True, guard=guard):
+            if dim_x - len(sigma) <= best:
+                break
             lk = link(X, sigma)
-            if _is_cone(lk):
+            if lk.dim <= best or _is_cone(lk):
                 continue
             top = reduced_betti(lk, guard=guard).max_nonzero_degree()
             if top is not None and top > best:

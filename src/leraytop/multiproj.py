@@ -10,6 +10,7 @@ projection is a simplex of X_r.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -99,19 +100,22 @@ def fiber_bound(px: PartitionedComplex):
     """The maximal number of preimage points over a point of the image,
     computed as the maximal number of sections over an image simplex.
 
-    Returns (r, witness) where witness is an image simplex attaining r.
+    Parts are 0-dimensionally induced, so the sections over an image
+    simplex are exactly the simplices of X mapping onto it, and one pass
+    over X's simplices counts them all.
+
+    Returns (r, witness) where witness is the first image simplex, in
+    (dimension, lex) order, attaining r.
     """
-    Y = project(px)
-    X = px.complex
-    best = 0
-    witness = None
-    for sigma in Y.all_simplices():
-        lists = [px.parts[i] for i in sigma]
-        count = len(_sections(X, lists))
-        if count > best:
-            best = count
-            witness = sigma
-    return best, witness
+    owner = px.part_of()
+    counts = Counter(tuple(sorted(owner[v] for v in s))
+                     for s in px.complex.all_simplices())
+    if not counts:
+        return 0, None
+    r = max(counts.values())
+    witness = min((s for s, n in counts.items() if n == r),
+                  key=lambda t: (len(t), t))
+    return r, witness
 
 
 def tilde_closure(px: PartitionedComplex, sigma):

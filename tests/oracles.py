@@ -1,12 +1,15 @@
 """Independent test oracles: Smith-normal-form homology, brute-force
-simplex-set operations, and exhaustive enumeration of small complexes.
+simplex-set operations, exhaustive enumeration of small complexes, and the
+unpruned or pre-optimisation forms of the library's fast paths.
 
 Everything here is deliberately naive and shares no code path with the
 library's homology/rank implementation.
 """
 from itertools import combinations
 
-from leraytop import SimplicialComplex
+from leraytop import SimplicialComplex, project
+from leraytop.core import _maximal, as_simplex
+from leraytop.multiproj import _sections
 
 
 def all_faces(facets, include_empty=False):
@@ -121,3 +124,41 @@ def enumerate_complexes(n, min_vertices=0):
         out = [fs for fs in out
                if len({v for f in fs for v in f}) >= min_vertices]
     return out
+
+
+def leray_links_unpruned(X: SimplicialComplex):
+    """(value, witness) of the link scan with no pruning: every simplex in
+    (dimension, lex) order, brute-force links, SNF homology; the witness is
+    the first strict improvement."""
+    if X.is_void():
+        return 0, None
+    faces = sorted(all_faces(X.facets, include_empty=True),
+                   key=lambda s: (len(s), s))
+    face_set = set(faces)
+    best, witness = -1, None
+    for sigma in faces:
+        ss = set(sigma)
+        lk = [t for t in faces
+              if not ss & set(t) and tuple(sorted(ss | set(t))) in face_set]
+        betti = snf_reduced_betti(SimplicialComplex(X.vertex_count, lk))
+        top = max((i for i, b in enumerate(betti) if b), default=None)
+        if top is not None and top > best:
+            best, witness = top, (("link", sigma), top)
+    return best + 1, witness
+
+
+def link_facets_by_maximal(X: SimplicialComplex, A):
+    """Facets of lk(X, A) as the inclusion-maximal candidates f - A."""
+    aset = set(as_simplex(A))
+    return _maximal(tuple(sorted(set(f) - aset))
+                    for f in X.facets if aset <= set(f))
+
+
+def fiber_bound_by_sections(px):
+    """(r, witness) by enumerating the sections over every image simplex."""
+    best, witness = 0, None
+    for sigma in project(px).all_simplices():
+        count = len(_sections(px.complex, [px.parts[i] for i in sigma]))
+        if count > best:
+            best, witness = count, sigma
+    return best, witness

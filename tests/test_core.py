@@ -8,7 +8,7 @@ from leraytop import (ComplexError, boundary_complex, clique_complex,
 from leraytop.core import as_simplex
 from leraytop.multiproj import random_complex
 
-from oracles import all_faces
+from oracles import all_faces, link_facets_by_maximal
 
 
 def hollow_triangle():
@@ -67,6 +67,13 @@ def test_link_examples():
     assert link(ht, []) == ht
     with pytest.raises(ComplexError):
         link(ht, [0, 1, 2])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_link_facets_need_no_maximality_filter(seed):
+    X = random_complex(8, 4, 0.5, seed + 900)
+    for sigma in X.all_simplices(include_empty=True):
+        assert link(X, sigma).facets == link_facets_by_maximal(X, sigma)
 
 
 def test_link_of_cone_point():

@@ -175,3 +175,107 @@ def test_cli_shell_pipe_end_to_end():
     proc = subprocess.run(pipe, shell=True, capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tight"]
+
+
+def test_readers_reject_booleans():
+    with pytest.raises(FormatError):
+        complex_from_json('{"vertices": ["a", "b"], "facets": [[true, 0]]}')
+    with pytest.raises(FormatError):
+        partitioned_from_json(json.dumps(
+            {"vertices": ["a", "b"], "facets": [[0], [1]],
+             "parts": [[False], [True]]}))
+    with pytest.raises(FormatError):
+        family_from_json('{"d": true, "members": {"G": [[["0", "1"]]]}}')
+    with pytest.raises(FormatError):
+        family_from_json('{"d": 1, "members": [1]}')
+
+
+_COMMON_BAD = ["{not json", "", "[1, 2]", '"text"',
+               "[" * 100000 + "]" * 100000]
+_COMPLEX_BAD = _COMMON_BAD + [
+    '{"facets": [[0]]}',
+    '{"vertices": "ab", "facets": []}',
+    '{"vertices": ["a", "b"], "facets": [[true, 0]]}',
+    '{"vertices": ["a"], "facets": [0]}',
+    '{"vertices": ["a"], "facets": [[0, 5]]}',
+    '{"vertices": ["a", "b"], "facets": [[1, 1]]}',
+]
+_PARTITIONED_BAD = _COMMON_BAD + [
+    '{"vertices": ["a", "b"], "facets": [[0], [1]]}',
+    '{"vertices": ["a", "b"], "parts": [[0], [1]]}',
+    '{"vertices": ["a", "b"], "facets": [[true, 0]], "parts": [[0], [1]]}',
+    '{"vertices": ["a", "b"], "facets": [[0], [1]], '
+    '"parts": [[false], [true]]}',
+    '{"vertices": ["a", "b"], "facets": [[0], [1]], "parts": "01"}',
+    '{"vertices": ["a", "b"], "facets": [[0, 1]], "parts": [[0, 1]]}',
+    '{"vertices": ["a", "b"], "facets": [[0], [1]], "parts": [[0]]}',
+]
+_FAMILY_BAD = _COMMON_BAD + [
+    '{"members": {}}',
+    '{"d": 1, "members": [1]}',
+    '{"d": true, "members": {"G": [[["0", "1"]]]}}',
+    '{"d": 0, "members": {}}',
+    '{"d": 1, "members": {"G": 5}}',
+    '{"d": 1, "members": {"G": [["01"]]}}',
+    '{"d": 1, "members": {"G": [[["0", "1", "2"]]]}}',
+    '{"d": 2, "members": {"G": [[["0", "1"]]]}}',
+    '{"d": 1, "members": {"G": [[[true, "1"]]]}}',
+    '{"d": 1, "members": {"G": [[[null, "1"]]]}}',
+    '{"d": 1, "members": {"G": [[[1e999, 2]]]}}',
+    '{"d": 1, "members": {"G": [[["1/0", "2"]]]}}',
+    '{"d": 1, "members": {"G": [[["2", "1"]]]}}',
+]
+_READERS = [
+    (["homology"], _COMPLEX_BAD),
+    (["leray"], _COMPLEX_BAD),
+    (["project"], _PARTITIONED_BAD),
+    (["mps"], _PARTITIONED_BAD),
+    (["icss"], _PARTITIONED_BAD),
+    (["check", "lproj"], _PARTITIONED_BAD),
+    (["check", "hmps"], _PARTITIONED_BAD),
+    (["check", "icss"], _PARTITIONED_BAD),
+    (["helly"], _FAMILY_BAD),
+    (["amenta"], _FAMILY_BAD),
+    (["check", "hl"], _FAMILY_BAD),
+]
+
+
+@pytest.mark.parametrize("argv,text", [
+    pytest.param(argv, text, id="%s-%d" % ("-".join(argv), i))
+    for argv, cases in _READERS for i, text in enumerate(cases)])
+def test_cli_malformed_input_exits_2(argv, text, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert cli.run(argv + [str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _READERS],
+                         ids=["-".join(argv) for argv, _ in _READERS])
+def test_cli_unreadable_input_exits_2(argv, tmp_path, capsys):
+    f = tmp_path / "latin1.json"
+    f.write_bytes(b'{"vertices": ["\xff"]}')
+    assert cli.run(argv + [str(f)]) == 2
+    assert cli.run(argv + [str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and "Traceback" not in err
+
+
+def test_cli_non_object_members_on_stdin_exits_2():
+    proc = subprocess.run([sys.executable, "-m", "leraytop.cli", "helly", "-"],
+                          input='{"d":1,"members":[1]}', capture_output=True,
+                          text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_check_count_summary_separates_skipped(capsys):
+    argv = ["check", "hmps", "--seed", "0", "--count", "4", "--guard", "20"]
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    reports = [json.loads(l) for l in captured.out.splitlines()]
+    assert sum(1 for r in reports if r.get("skipped")) == 2
+    assert captured.err.strip().endswith(
+        "4 seeded instances of hmps: 2 held, 2 skipped (guard), 0 failed")

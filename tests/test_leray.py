@@ -1,15 +1,17 @@
 import pytest
 
+from leraytop import leray as leray_mod
 from leraytop import (boundary_complex, check_chordal_characterization,
                       clique_complex, induced, intersection,
                       leray_by_definition, leray_by_links, leray_number,
-                      make_complex, solid_simplex)
+                      link, make_complex, project, solid_simplex)
 from leraytop.core import ComplexError
 from leraytop.leray import check_witness
-from leraytop.multiproj import extremal_example, random_complex
+from leraytop.multiproj import (extremal_example, random_complex,
+                                random_partitioned_complex)
 from leraytop.rng import CounterRng
 
-from oracles import enumerate_complexes
+from oracles import enumerate_complexes, leray_links_unpruned
 
 
 def test_definition_examples():
@@ -117,3 +119,35 @@ def test_witness_recheck_rejects_tampering():
     bad = LerayCertificate(cert.value, (("link", (0,)), cert.value - 1),
                            cert.method)
     assert not check_witness(X, bad)
+
+
+def test_links_match_unpruned_scan_exhaustive():
+    for facets in enumerate_complexes(4):
+        X = make_complex(facets, allow_void=False) if facets != ((),) \
+            else make_complex([()], allow_void=True)
+        cert = leray_by_links(X)
+        assert (cert.value, cert.witness) == leray_links_unpruned(X), facets
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_links_match_unpruned_scan_partitioned(seed):
+    px = random_partitioned_complex(7, [2] * 7, 3, 0.4, seed + 500)
+    for X in (px.complex, project(px)):
+        cert = leray_by_links(X)
+        assert (cert.value, cert.witness) == leray_links_unpruned(X)
+
+
+@pytest.mark.parametrize("X", [boundary_complex(range(k)) for k in (2, 3, 5)]
+                         + [make_complex([[0], [1], [2]])])
+def test_links_scan_stops_after_one_link_at_dim_plus_one(X, monkeypatch):
+    # L(X) = dim X + 1: the link of the empty simplex (X itself) attains the
+    # best possible value, so no other link is built
+    calls = []
+
+    def counting_link(X, A):
+        calls.append(A)
+        return link(X, A)
+
+    monkeypatch.setattr(leray_mod, "link", counting_link)
+    assert leray_by_links(X).value == X.dim + 1
+    assert calls == [()]

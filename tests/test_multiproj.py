@@ -13,6 +13,8 @@ from leraytop.multiproj import (make_partitioned,
 from leraytop.icss import sym_action
 from leraytop.rng import CounterRng
 
+from oracles import fiber_bound_by_sections
+
 
 def two_points_one_part():
     return make_partitioned(make_complex([[0], [1]]), [(0, 1)])
@@ -47,6 +49,27 @@ def test_fiber_bound_examples():
     assert r == 2 and witness == (0,)
     for rr, dd in [(2, 2), (3, 2), (2, 3)]:
         assert fiber_bound(extremal_example(rr, dd))[0] == rr
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fiber_bound_matches_sections_reference(seed):
+    rng = CounterRng(seed + 1300)
+    sizes = [1 + rng.randint(3) for _ in range(5)]
+    px = random_partitioned_complex(5, sizes, 3, 0.5, seed + 1300)
+    assert fiber_bound(px) == fiber_bound_by_sections(px)
+    # parts that are not runs of consecutive ids
+    n = px.complex.vertex_count
+    perm = rng.sample(range(n), n)
+    moved = make_partitioned(px.complex.relabel(perm),
+                             [[perm[v] for v in p] for p in px.parts])
+    assert fiber_bound(moved) == fiber_bound_by_sections(moved)
+
+
+@pytest.mark.parametrize("r,d", [(2, 2), (3, 2), (2, 3)])
+def test_fiber_bound_witness_breaks_ties_like_reference(r, d):
+    # every vertex and many simplices attain r here
+    px = extremal_example(r, d)
+    assert fiber_bound(px) == fiber_bound_by_sections(px)
 
 
 def test_fiber_bound_one_means_iso():
