@@ -3,7 +3,8 @@
 Reports are JSON lines on standard output (one claim per line); a human
 summary goes to standard error.  Exit codes: 0 all claims hold, 1 a checked
 inequality failed (an implementation bug, never expected), 2 usage or
-format error, 3 internal oracle disagreement.
+format error, 3 internal oracle disagreement, 4 unexpected internal error
+(traceback on standard error).
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
+EXIT_INTERNAL = 4
 
 
 def _jsonable(value):
@@ -422,6 +425,10 @@ def run(argv=None) -> int:
     except (io_json.FormatError, helly_mod.FamilyError, ComplexError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # not a verdict on the input: keep exit 1 for a failed inequality
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def main():

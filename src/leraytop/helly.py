@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import (ComplexError, SimplicialComplex, _maximal)
+from .core import ComplexError, SimplicialComplex, _closed_facets
 from .leray import leray_by_links
 from .multiproj import PartitionedComplex, fiber_bound, make_partitioned, project
 from .rng import CounterRng
@@ -115,7 +115,9 @@ def nerve(family) -> SimplicialComplex:
         level = nxt
     if not simplices:
         return SimplicialComplex(0, ())
-    return SimplicialComplex(n, _maximal(simplices), labels=names)
+    # every face of an intersecting subfamily intersects, so the level-wise
+    # set is closed under nonempty faces
+    return SimplicialComplex(n, _closed_facets(simplices), labels=names)
 
 
 @dataclass(frozen=True)

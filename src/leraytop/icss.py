@@ -13,14 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 
 from .core import (DEFAULT_SIMPLEX_GUARD, ComplexError, GuardExceeded,
-                   SimplicialComplex)
+                   SimplicialComplex, _maximal)
 from .homology import euler_characteristic, rank_of_rows, unreduced_betti
 from .leray import leray_by_links
 from .multiproj import (DEFAULT_MPC_SIMPLEX_GUARD, DEFAULT_MPC_VERTEX_GUARD,
-                        MultiPointComplex, PartitionedComplex, fiber_bound,
-                        multiple_point_complex, project)
+                        MultiPointComplex, PartitionedComplex,
+                        _check_simplex_count, _check_vertex_bound,
+                        _fiber_counts, multiple_point_complex, project)
 
 
 def perm_sign(p):
@@ -105,6 +107,16 @@ def _actions(M: MultiPointComplex):
 DEFAULT_ALT_WORK_GUARD = 2_000_000
 
 
+def _check_orbit_work(simplex_count, group_order, work_guard):
+    """Refuse an orbit scan of every simplex under every group element
+    that would exceed the work guard."""
+    if group_order * simplex_count > work_guard:
+        raise GuardExceeded(
+            "alternating-orbit scan (%d simplices x %d group elements) "
+            "exceeds work guard %d"
+            % (simplex_count, group_order, work_guard))
+
+
 def alt_chain_complex(M: MultiPointComplex,
                       guard=DEFAULT_MPC_SIMPLEX_GUARD,
                       work_guard=DEFAULT_ALT_WORK_GUARD) -> AltChainComplex:
@@ -112,11 +124,7 @@ def alt_chain_complex(M: MultiPointComplex,
     restriction of the boundary to it."""
     actions = _actions(M)
     simplices = M.complex.all_simplices(guard=guard)
-    if len(actions) * len(simplices) > work_guard:
-        raise GuardExceeded(
-            "alternating-orbit scan (%d simplices x %d group elements) "
-            "exceeds work guard %d"
-            % (len(simplices), len(actions), work_guard))
+    _check_orbit_work(len(simplices), len(actions), work_guard)
     by_deg = {}
     for s in simplices:
         by_deg.setdefault(len(s) - 1, []).append(s)
@@ -195,23 +203,57 @@ class E1Page:
         return sum((-1) ** (p + q) * n for (p, q), n in self.table.items())
 
 
+def _refuse_over_guard(px: PartitionedComplex, counts, r, vertex_guard,
+                       guard):
+    """Raise the GuardExceeded that building M_1..M_{r+1} and their
+    alternating chains would raise first, without building any of them.
+
+    M_k of a single factor has exactly sum_I n_I^k nonempty simplices, n_I
+    being the fiber count over the image simplex I; each k is checked as
+    ``generalized_mpc``, ``all_simplices`` (which counts the empty simplex)
+    and ``alt_chain_complex`` would check it, in that order.
+    """
+    for k in range(1, r + 2):
+        _check_vertex_bound(px.parts, k, vertex_guard)
+        size = sum(n ** k for n in counts.values())
+        _check_simplex_count(size, guard)
+        if not size:
+            continue            # alt_betti stops at a void complex
+        if size + 1 > guard:
+            raise GuardExceeded(
+                "simplex enumeration exceeds guard %d" % guard)
+        _check_orbit_work(size, factorial(k), DEFAULT_ALT_WORK_GUARD)
+
+
 def e1_page(px: PartitionedComplex,
             vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
             guard=DEFAULT_MPC_SIMPLEX_GUARD) -> E1Page:
     """Compute the page columns p = 0..r-1, plus the column at p = r which
-    must be identically zero."""
-    r, _ = fiber_bound(px)
-    table = {}
-    for p in range(r):
-        M = multiple_point_complex(px, p + 1, vertex_guard=vertex_guard,
-                                   guard=guard)
-        for q, n in enumerate(alt_betti(M, guard=guard)):
-            table[(p, q)] = n
-    M_extra = multiple_point_complex(px, r + 1, vertex_guard=vertex_guard,
-                                     guard=guard)
-    extra = alt_betti(M_extra, guard=guard)
-    image = unreduced_betti(project(px))
-    return E1Page(r, table, image, all(n == 0 for n in extra))
+    must be identically zero.
+
+    Guard refusals are decided from the fiber counts before anything is
+    built.  The page is computed once per ``px`` and kept on it; the guards
+    are checked on every call, so a smaller guard still refuses.
+    """
+    counts = _fiber_counts(px)
+    r = max(counts.values(), default=0)
+    _refuse_over_guard(px, counts, r, vertex_guard, guard)
+    if px._e1_page is None:
+        table = {}
+        for p in range(r):
+            M = multiple_point_complex(px, p + 1, vertex_guard=vertex_guard,
+                                       guard=guard)
+            for q, n in enumerate(alt_betti(M, guard=guard)):
+                table[(p, q)] = n
+        M_extra = multiple_point_complex(px, r + 1,
+                                         vertex_guard=vertex_guard,
+                                         guard=guard)
+        extra = alt_betti(M_extra, guard=guard)
+        image = unreduced_betti(project(px))
+        # PartitionedComplex is frozen; the page is not part of its value
+        object.__setattr__(px, "_e1_page", E1Page(
+            r, table, image, all(n == 0 for n in extra)))
+    return px._e1_page
 
 
 def double_point_closure(M: MultiPointComplex,
@@ -225,7 +267,6 @@ def double_point_closure(M: MultiPointComplex,
         secs = [frozenset(M.tuples[v][r] for v in s) for r in range(M.k)]
         if len(set(secs)) == M.k:
             gens.append(s)
-    from .core import _maximal
     facets = _maximal(gens) if gens else frozenset()
     cx = SimplicialComplex(M.complex.vertex_count, facets,
                            labels=M.complex.labels)

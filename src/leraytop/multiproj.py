@@ -11,12 +11,12 @@ projection is a simplex of X_r.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .core import (DEFAULT_SIMPLEX_GUARD, ComplexError, GuardExceeded,
-                   SimplicialComplex, _maximal, as_simplex, boundary_complex,
-                   make_complex)
+                   SimplicialComplex, _closed_facets, _maximal, as_simplex,
+                   boundary_complex, make_complex)
 from .homology import reduced_betti
 from .leray import leray_by_links
 from .rng import CounterRng
@@ -31,6 +31,10 @@ class PartitionedComplex:
     parts."""
     complex: SimplicialComplex
     parts: tuple
+    # The E1 page once icss.e1_page has computed it.  Like
+    # SimplicialComplex._simplex_cache it is not part of the value.
+    _e1_page: object = field(default=None, init=False, compare=False,
+                             repr=False)
 
     @property
     def m(self):
@@ -80,36 +84,49 @@ def project(px: PartitionedComplex) -> SimplicialComplex:
 
 
 def _sections(X: SimplicialComplex, part_vertex_lists):
-    """All ways to pick one vertex per listed part forming a simplex of X."""
-    out = []
-
-    def extend(prefix, depth):
-        if depth == len(part_vertex_lists):
-            out.append(tuple(prefix))
-            return
-        for v in part_vertex_lists[depth]:
-            cand = prefix + [v]
-            if X.contains(sorted(cand)):
-                extend(cand, depth + 1)
-
-    extend([], 0)
+    """All ways to pick one vertex per listed part forming a simplex of X,
+    in lexicographic order of the choices."""
+    out = [()]
+    for vertices in part_vertex_lists:
+        out = [prefix + (v,) for prefix in out for v in vertices
+               if X.contains(sorted(prefix + (v,)))]
     return out
+
+
+def _fiber_counts(px: PartitionedComplex) -> Counter:
+    """The number of simplices of X over each nonempty image simplex, in
+    one pass over X's simplices.
+
+    Parts are 0-dimensionally induced, so these are the sections over the
+    image simplex.
+    """
+    owner = px.part_of()
+    return Counter(tuple(sorted(owner[v] for v in s))
+                   for s in px.complex.all_simplices())
+
+
+def _check_vertex_bound(parts, k, vertex_guard):
+    """Refuse a k-fold multiple-point complex with too many vertices."""
+    if sum(len(p) ** k for p in parts) > vertex_guard:
+        raise GuardExceeded(
+            "multiple-point vertex bound exceeds guard %d" % vertex_guard)
+
+
+def _check_simplex_count(count, guard):
+    """Refuse a multiple-point complex with too many simplices."""
+    if count > guard:
+        raise GuardExceeded(
+            "multiple-point simplex count exceeds guard %d" % guard)
 
 
 def fiber_bound(px: PartitionedComplex):
     """The maximal number of preimage points over a point of the image,
     computed as the maximal number of sections over an image simplex.
 
-    Parts are 0-dimensionally induced, so the sections over an image
-    simplex are exactly the simplices of X mapping onto it, and one pass
-    over X's simplices counts them all.
-
     Returns (r, witness) where witness is the first image simplex, in
     (dimension, lex) order, attaining r.
     """
-    owner = px.part_of()
-    counts = Counter(tuple(sorted(owner[v] for v in s))
-                     for s in px.complex.all_simplices())
+    counts = _fiber_counts(px)
     if not counts:
         return 0, None
     r = max(counts.values())
@@ -159,9 +176,7 @@ def generalized_mpc(pxs, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
         if px.parts != parts:
             raise ComplexError("factors have mismatched part structures")
     k = len(pxs)
-    if sum(len(p) ** k for p in parts) > vertex_guard:
-        raise GuardExceeded(
-            "multiple-point vertex bound exceeds guard %d" % vertex_guard)
+    _check_vertex_bound(parts, k, vertex_guard)
     images = [project(px) for px in pxs]
     common = [s for s in images[0].all_simplices()
               if all(img.contains(s) for img in images[1:])]
@@ -172,9 +187,7 @@ def generalized_mpc(pxs, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
         total = 1
         for s in secs:
             total *= len(s)
-        if len(simplex_sets) + total > guard:
-            raise GuardExceeded(
-                "multiple-point simplex count exceeds guard %d" % guard)
+        _check_simplex_count(len(simplex_sets) + total, guard)
         stack = [()]
         for sec in secs:
             stack = [prefix + (choice,) for prefix in stack for choice in sec]
@@ -184,7 +197,10 @@ def generalized_mpc(pxs, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
                 for j in range(len(I))))
     keys = sorted({v for s in simplex_sets for v in s})
     idx = {key: i for i, key in enumerate(keys)}
-    facets = _maximal(tuple(sorted(idx[v] for v in s)) for s in simplex_sets)
+    # a face of a simplex over I restricts its sections to a face of I, so
+    # the set is closed under nonempty faces
+    facets = _closed_facets(tuple(sorted(idx[v] for v in s))
+                            for s in simplex_sets)
     cx = SimplicialComplex(len(keys), facets, labels=keys)
     equal = all(px.complex == pxs[0].complex for px in pxs[1:])
     return MultiPointComplex(

@@ -9,7 +9,11 @@ from itertools import combinations
 
 from leraytop import SimplicialComplex, project
 from leraytop.core import _maximal, as_simplex
-from leraytop.multiproj import _sections
+from leraytop.homology import unreduced_betti
+from leraytop.icss import E1Page, alt_betti
+from leraytop.multiproj import (DEFAULT_MPC_SIMPLEX_GUARD,
+                                DEFAULT_MPC_VERTEX_GUARD, _sections,
+                                fiber_bound, multiple_point_complex)
 
 
 def all_faces(facets, include_empty=False):
@@ -162,3 +166,21 @@ def fiber_bound_by_sections(px):
         if count > best:
             best, witness = count, sigma
     return best, witness
+
+
+def e1_page_by_building(px, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
+                        guard=DEFAULT_MPC_SIMPLEX_GUARD):
+    """The E1 page with no up-front refusal and no stored page: build
+    M_1..M_{r+1} in turn and let the first guard that fires refuse."""
+    r, _ = fiber_bound(px)
+    table = {}
+    for p in range(r):
+        M = multiple_point_complex(px, p + 1, vertex_guard=vertex_guard,
+                                   guard=guard)
+        for q, n in enumerate(alt_betti(M, guard=guard)):
+            table[(p, q)] = n
+    M_extra = multiple_point_complex(px, r + 1, vertex_guard=vertex_guard,
+                                     guard=guard)
+    extra = alt_betti(M_extra, guard=guard)
+    image = unreduced_betti(project(px))
+    return E1Page(r, table, image, all(n == 0 for n in extra))

@@ -5,10 +5,10 @@ from leraytop import (ComplexError, boundary_complex, clique_complex,
                       is_isomorphism, join, link, make_complex, reduced_betti,
                       solid_simplex, subdivision, union, upper_interval,
                       void_complex)
-from leraytop.core import as_simplex
+from leraytop.core import _closed_facets, _maximal, as_simplex
 from leraytop.multiproj import random_complex
 
-from oracles import all_faces, link_facets_by_maximal
+from oracles import all_faces, enumerate_complexes, link_facets_by_maximal
 
 
 def hollow_triangle():
@@ -197,3 +197,9 @@ def test_clique_complex_examples():
 def test_clique_complex_isolated_vertices():
     X = clique_complex([(0, 1)], n=4)
     assert X.facets == frozenset({(0, 1), (2,), (3,)})
+
+
+def test_closed_facets_match_maximal_on_small_complexes():
+    for facets in enumerate_complexes(4):
+        for faces in (all_faces(facets), all_faces(facets, True)):
+            assert _closed_facets(faces) == _maximal(faces)

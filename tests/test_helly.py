@@ -7,6 +7,8 @@ from leraytop import (AtomFamily, Box, BoxFamily, FrFamily, UnionFamily,
                       helly_number_direct, leray_number, make_box,
                       make_fr_family, nerve, pieces_projection,
                       random_fr_family)
+from leraytop import helly as helly_mod
+from leraytop.core import _closed_facets, _maximal
 from leraytop.helly import (FamilyError, FrValidationError, box_meet,
                             boxes_disjoint, interval_family,
                             minimal_empty_subfamilies)
@@ -192,3 +194,22 @@ def test_random_fr_family_deterministic():
     assert a.groups == b.groups
     assert all(a.base.members[p] == b.base.members[p]
                for p in a.base.members)
+
+
+def test_nerve_facets_match_maximal(monkeypatch):
+    # the level-wise simplex set of every test family's nerve
+    seen = []
+
+    def checked(simplices):
+        simplices = list(simplices)
+        out = _closed_facets(simplices)
+        assert out == _maximal(simplices)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(helly_mod, "_closed_facets", checked)
+    for seed in range(6):
+        nerve(random_fr_family(1, 4, 2, seed))
+    for seed in range(4):
+        nerve(random_fr_family(2, 4, 2, seed + 50))
+    assert len(seen) == 10

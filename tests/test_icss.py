@@ -1,15 +1,23 @@
+import json
+
 import pytest
 
 from leraytop import (GuardExceeded, alt_betti, alt_chain_complex,
                       check_alt_chain_iso, check_euler, check_proof_vanishing,
                       double_point_closure, e1_page, make_complex,
                       multiple_point_complex, sym_action, unreduced_betti)
+from leraytop import cli, icss, multiproj
+from leraytop.cli import _lproj_instance
 from leraytop.core import ComplexError
 from leraytop.homology import rank_of_rows
 from leraytop.icss import _actions, perm_sign
-from leraytop.multiproj import (make_partitioned, random_complex,
+from leraytop.io_json import partitioned_to_json
+from leraytop.multiproj import (PartitionedComplex, _fiber_counts,
+                                fiber_bound, make_partitioned, random_complex,
                                 random_partitioned_complex, extremal_example)
 from leraytop.rng import CounterRng
+
+from oracles import e1_page_by_building
 
 
 def two_points_one_part():
@@ -229,3 +237,98 @@ def test_work_guard():
     M = multiple_point_complex(px, 2)
     with pytest.raises(GuardExceeded):
         alt_chain_complex(M, work_guard=3)
+
+
+# -- up-front refusal and one page per input ------------------------------
+
+
+def _calls(monkeypatch, module, name):
+    """Count the calls made to module.name through its module binding."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _outcome(fn, px, guard):
+    try:
+        return fn(px, guard=guard)
+    except GuardExceeded as exc:
+        return type(exc), str(exc)
+
+
+REFUSAL_INSTANCES = ([("seed", s) for s in range(60)]
+                     + [("extremal", rd) for rd in ((2, 2), (3, 2))])
+
+
+@pytest.mark.parametrize("kind,arg", REFUSAL_INSTANCES)
+def test_e1_page_refuses_like_building(kind, arg, monkeypatch):
+    px = (_lproj_instance(arg, 12) if kind == "seed"
+          else extremal_example(*arg))
+    counts = _fiber_counts(px)
+    r = max(counts.values())
+    sizes = [sum(n ** k for n in counts.values()) for k in range(1, r + 2)]
+    guards = {50, 500, 5000, 20000}
+    # the reference builds every M_k a guard admits, so boundaries above
+    # the largest fixed guard would cost it minutes and gigabytes here;
+    # test_refusing_e1_page_builds_nothing covers one such boundary
+    guards.update(c + d for c in sizes if c <= 20000 for d in (-1, 0, 1))
+    calls = _calls(monkeypatch, multiproj, "generalized_mpc")
+    for guard in sorted(guards):
+        # a fresh px each time, so no stored page answers for the guard
+        fresh = PartitionedComplex(px.complex, px.parts)
+        calls.clear()
+        got = _outcome(e1_page, fresh, guard)
+        if isinstance(got, tuple):
+            assert not calls, guard      # refused before building
+        assert got == _outcome(e1_page_by_building, px, guard), guard
+
+
+def test_refusing_e1_page_builds_nothing(monkeypatch):
+    px = _lproj_instance(3, 12)          # r = 7; M_5 has 37187 simplices
+    reasons = {guard: _outcome(e1_page_by_building, px, guard)
+               for guard in (37186, 37187, 37188)}
+    calls = _calls(monkeypatch, multiproj, "generalized_mpc")
+    for guard, reason in reasons.items():
+        assert _outcome(e1_page, px, guard) == reason
+    assert [msg.split(" exceeds")[0] for _, msg in reasons.values()] == [
+        "multiple-point simplex count", "simplex enumeration",
+        "alternating-orbit scan (37187 simplices x 120 group elements)"]
+    assert not calls
+
+
+def test_checks_share_one_page(monkeypatch):
+    px = extremal_example(2, 2)
+    r = fiber_bound(px)[0]
+    calls = _calls(monkeypatch, icss, "alt_chain_complex")
+    assert check_euler(px)["holds"] and check_proof_vanishing(px)["holds"]
+    assert len(calls) == r + 1
+
+
+def test_cli_icss_builds_one_page(monkeypatch, tmp_path, capsys):
+    px = extremal_example(2, 2)
+    f = tmp_path / "px.json"
+    f.write_text(partitioned_to_json(px))
+    calls = _calls(monkeypatch, icss, "alt_chain_complex")
+    assert cli.run(["icss", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"]
+    assert len(calls) == fiber_bound(px)[0] + 1
+
+
+def test_stored_page_still_checks_the_guard():
+    px = extremal_example(2, 2)
+    page = e1_page(px)
+    assert e1_page(px) is page
+    with pytest.raises(GuardExceeded):
+        e1_page(px, guard=50)
+    with pytest.raises(GuardExceeded):
+        e1_page(px, vertex_guard=3)
+    assert e1_page(px) is page
+    # the stored page is not part of the value
+    fresh = PartitionedComplex(px.complex, px.parts)
+    assert fresh == px and hash(fresh) == hash(px) and repr(fresh) == repr(px)

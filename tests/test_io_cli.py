@@ -279,3 +279,15 @@ def test_cli_check_count_summary_separates_skipped(capsys):
     assert sum(1 for r in reports if r.get("skipped")) == 2
     assert captured.err.strip().endswith(
         "4 seeded instances of hmps: 2 held, 2 skipped (guard), 0 failed")
+
+
+def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "_cmd_homology", broken)
+    f = tmp_path / "ht.json"
+    f.write_text(complex_to_json(make_complex([[0, 1]])))
+    assert cli.run(["homology", str(f)]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: unexpected" in err

@@ -1,3 +1,6 @@
+import gc
+from itertools import product
+
 import pytest
 
 from leraytop import (ComplexError, GuardExceeded, boundary_complex,
@@ -7,8 +10,11 @@ from leraytop import (ComplexError, GuardExceeded, boundary_complex,
                       make_complex, multiple_point_complex, project,
                       random_partitioned_complex, reduced_betti, solid_simplex,
                       tilde_closure)
-from leraytop.core import SimplicialComplex, make_complex as _mk
-from leraytop.multiproj import (make_partitioned,
+from leraytop import multiproj
+from leraytop.cli import _lproj_instance
+from leraytop.core import (SimplicialComplex, _closed_facets, _maximal,
+                           make_complex as _mk)
+from leraytop.multiproj import (_sections, make_partitioned,
                                 projection_image_of_extremal, random_complex)
 from leraytop.icss import sym_action
 from leraytop.rng import CounterRng
@@ -247,3 +253,45 @@ def test_mpc_guards():
         multiple_point_complex(px, 3, vertex_guard=10)
     with pytest.raises(GuardExceeded):
         multiple_point_complex(px, 3, guard=5)
+
+
+def test_mpc_facets_match_maximal(monkeypatch):
+    # every face set generalized_mpc builds for the check-icss instances
+    seen = []
+
+    def checked(simplices):
+        simplices = list(simplices)
+        out = _closed_facets(simplices)
+        assert out == _maximal(simplices)
+        seen.append(len(simplices))
+        return out
+
+    monkeypatch.setattr(multiproj, "_closed_facets", checked)
+    for seed in range(60):
+        px = _lproj_instance(seed, 12)
+        for k in (1, 2, 3):
+            M = multiple_point_complex(px, k)
+            assert len(M.complex.all_simplices()) == seen[-1]
+    assert len(seen) == 180
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sections_are_the_filtered_product(seed):
+    px = _lproj_instance(seed, 12)
+    X = px.complex
+    for sigma in project(px).all_simplices():
+        lists = [px.parts[i] for i in sigma]
+        assert _sections(X, lists) == [c for c in product(*lists)
+                                       if X.contains(sorted(c))]
+
+
+def test_sections_leave_no_reference_cycles():
+    px = extremal_example(3, 2)
+    lists = [px.parts[i] for i in range(4)]
+    gc.collect()
+    gc.disable()
+    try:
+        assert _sections(px.complex, lists)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
