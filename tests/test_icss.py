@@ -256,6 +256,7 @@ def _calls(monkeypatch, module, name):
 
 
 def _outcome(fn, px, guard):
+    """The page fn computes, or the type and message of its refusal."""
     try:
         return fn(px, guard=guard)
     except GuardExceeded as exc:
@@ -264,9 +265,11 @@ def _outcome(fn, px, guard):
 
 REFUSAL_INSTANCES = ([("seed", s) for s in range(60)]
                      + [("extremal", rd) for rd in ((2, 2), (3, 2))])
+REFUSAL_IDS = ["seed-%d" % a if kind == "seed" else "extremal-%d-%d" % a
+               for kind, a in REFUSAL_INSTANCES]
 
 
-@pytest.mark.parametrize("kind,arg", REFUSAL_INSTANCES)
+@pytest.mark.parametrize("kind,arg", REFUSAL_INSTANCES, ids=REFUSAL_IDS)
 def test_e1_page_refuses_like_building(kind, arg, monkeypatch):
     px = (_lproj_instance(arg, 12) if kind == "seed"
           else extremal_example(*arg))
@@ -275,7 +278,7 @@ def test_e1_page_refuses_like_building(kind, arg, monkeypatch):
     sizes = [sum(n ** k for n in counts.values()) for k in range(1, r + 2)]
     guards = {50, 500, 5000, 20000}
     # the reference builds every M_k a guard admits, so boundaries above
-    # the largest fixed guard would cost it minutes and gigabytes here;
+    # the largest fixed guard would cost it minutes and gigabytes;
     # test_refusing_e1_page_builds_nothing covers one such boundary
     guards.update(c + d for c in sizes if c <= 20000 for d in (-1, 0, 1))
     calls = _calls(monkeypatch, multiproj, "generalized_mpc")
