@@ -10,7 +10,7 @@ matters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,6 +22,9 @@ from .rng import CounterRng
 
 class FamilyError(ValueError):
     """Invalid set-family input."""
+
+
+_EMPTY_COLLECTION = "intersection of an empty collection is undefined"
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ def box_meet(boxes):
     """Intersection of boxes; None if empty."""
     boxes = list(boxes)
     if not boxes:
-        raise FamilyError("intersection of an empty collection is undefined")
+        raise FamilyError(_EMPTY_COLLECTION)
     d = boxes[0].dimension
     out = []
     for axis in range(d):
@@ -63,7 +66,113 @@ def boxes_disjoint(a: Box, b: Box) -> bool:
     return box_meet([a, b]) is None
 
 
-class BoxFamily:
+# -- the subfamily-meet table ---------------------------------------------
+
+
+def _ranked(dimension, groups):
+    """``groups`` (lists of boxes) with each box as a flat tuple
+    (lo_0, hi_0, lo_1, hi_1, ...) of endpoint ranks: an endpoint becomes its
+    rank among the distinct endpoints on its axis.
+
+    Closed intervals meet iff max lo <= min hi, and ranking keeps the order
+    and the equalities of the endpoints on an axis, so every meet is empty
+    on ranks exactly when it is empty on the rational endpoints.
+    """
+    rank = []
+    for axis in range(dimension):
+        ends = sorted({x for boxes in groups for b in boxes
+                       for x in b.intervals[axis]})
+        rank.append({x: i for i, x in enumerate(ends)})
+    return [[tuple(rank[axis][x] for axis in range(dimension)
+                   for x in b.intervals[axis]) for b in boxes]
+            for boxes in groups]
+
+
+def _meet_ranked(a, b):
+    """Meet of two ranked boxes; None if empty."""
+    out = []
+    for i in range(0, len(a), 2):
+        lo = a[i] if a[i] > b[i] else b[i]
+        hi = a[i + 1] if a[i + 1] < b[i + 1] else b[i + 1]
+        if lo > hi:
+            return None
+        out.append(lo)
+        out.append(hi)
+    return tuple(out)
+
+
+def _meet_walk(dimension, groups):
+    """Yield ``(sub, mask, boxes)`` for every subfamily of ``groups`` (one
+    list of boxes per member) with nonempty intersection, by size and then
+    in lexicographic order of the index tuple ``sub``; ``mask`` has bit i
+    set for each i in ``sub`` and ``boxes`` are the nonempty meets of one
+    box per member of ``sub``, as ranked boxes.
+
+    An entry is its prefix ``sub[:-1]``'s boxes met with each box of its
+    last member, and a subfamily with an empty prefix is empty, so it is
+    never visited.  Only the current and the next size are held.
+    """
+    ranked = _ranked(dimension, groups)
+    n = len(ranked)
+    level = []
+    for i, boxes in enumerate(ranked):
+        if boxes:
+            entry = ((i,), 1 << i, boxes)
+            yield entry
+            level.append(entry)
+    while level:
+        nxt = []
+        for sub, mask, acc in level:
+            for j in range(sub[-1] + 1, n):
+                boxes = []
+                for a in acc:
+                    for b in ranked[j]:
+                        m = _meet_ranked(a, b)
+                        if m is not None:
+                            boxes.append(m)
+                if boxes:
+                    entry = (sub + (j,), mask | 1 << j, boxes)
+                    yield entry
+                    nxt.append(entry)
+        level = nxt
+
+
+class _MeetTable:
+    """The nonempty subfamilies of a family, one bitmask over its member
+    positions each: the emptiness oracle of box, union and grouped
+    families."""
+    __slots__ = ("index", "masks")
+
+    def __init__(self, names, masks):
+        self.index = {name: i for i, name in enumerate(names)}
+        self.masks = masks
+
+    def is_empty(self, names):
+        mask = 0
+        for name in names:
+            if name not in self.index:
+                raise FamilyError("unknown member %r" % (name,))
+            mask |= 1 << self.index[name]
+        if not mask:
+            raise FamilyError(_EMPTY_COLLECTION)
+        return mask not in self.masks
+
+
+class _TableFamily:
+    """Answers ``is_empty_intersection`` from a ``_MeetTable`` of
+    ``_member_boxes()`` (one list of boxes per member, in ``names``
+    order), built on first use unless ``make_fr_family`` built it."""
+    _table = None
+
+    def is_empty_intersection(self, names):
+        if self._table is None:
+            walk = _meet_walk(self.dimension, self._member_boxes())
+            object.__setattr__(self, "_table", _MeetTable(
+                self.names, frozenset(mask for _, mask, _ in walk)))
+        return self._table.is_empty(names)
+
+
+class BoxFamily(_TableFamily):
     """Named nonempty boxes in R^d with an exact intersection oracle."""
 
     def __init__(self, dimension, members):
@@ -74,8 +183,8 @@ class BoxFamily:
                 raise FamilyError("member %r has wrong dimension" % (name,))
         self.names = tuple(self.members)
 
-    def is_empty_intersection(self, names):
-        return box_meet([self.members[n] for n in names]) is None
+    def _member_boxes(self):
+        return [(box,) for box in self.members.values()]
 
 
 class AtomFamily:
@@ -87,13 +196,14 @@ class AtomFamily:
         self.names = tuple(self.members)
 
     def is_empty_intersection(self, names):
-        it = iter(names)
-        out = set(self.members[next(it)])
-        for n in it:
-            out &= self.members[n]
+        out = None
+        for n in names:
+            out = self.members[n] if out is None else out & self.members[n]
             if not out:
                 return True
-        return not out
+        if out is None:
+            raise FamilyError(_EMPTY_COLLECTION)
+        return False
 
 
 def nerve(family) -> SimplicialComplex:
@@ -132,18 +242,18 @@ class HellyReport:
         return self.helly_number <= self.bound
 
 
-def minimal_empty_subfamilies(family, cap=20):
-    """Inclusion-minimal subfamilies with empty intersection (the minimal
-    non-faces of the nerve)."""
-    names = family.names
-    n = len(names)
-    if n > cap:
-        raise FamilyError("family size %d exceeds cap %d" % (n, cap))
-    nv = nerve(family)
-    simplex_set = set(nv.all_simplices(include_empty=True))
+def _check_cap(names, cap):
+    if len(names) > cap:
+        raise FamilyError("family size %d exceeds cap %d" % (len(names), cap))
+
+
+def _minimal_empty(names, nv):
+    """The minimal non-faces of the nerve ``nv``, as name tuples."""
+    # the empty subfamily counts as intersecting even when the nerve is void
+    simplex_set = set(nv.all_simplices(include_empty=True)) | {()}
     out = []
-    for size in range(1, n + 1):
-        for cand in combinations(range(n), size):
+    for size in range(1, len(names) + 1):
+        for cand in combinations(range(len(names)), size):
             if cand in simplex_set:
                 continue
             if all(cand[:i] + cand[i + 1:] in simplex_set
@@ -152,18 +262,30 @@ def minimal_empty_subfamilies(family, cap=20):
     return out
 
 
-def helly_number(family, cap=20) -> HellyReport:
-    """The Helly number: the largest minimal empty-intersection subfamily
-    (or 1 if all intersections are nonempty), plus the nerve-Leray bound."""
-    minimal = minimal_empty_subfamilies(family, cap=cap)
+def minimal_empty_subfamilies(family, cap=20):
+    """Inclusion-minimal subfamilies with empty intersection (the minimal
+    non-faces of the nerve)."""
+    _check_cap(family.names, cap)
+    return _minimal_empty(family.names, nerve(family))
+
+
+def _helly_report(names, nv) -> HellyReport:
+    minimal = _minimal_empty(names, nv)
     if minimal:
         witness = max(minimal, key=len)
         h = max(1, len(witness))
     else:
         witness = ()
         h = 1
-    nl = leray_by_links(nerve(family)).value
+    nl = leray_by_links(nv).value
     return HellyReport(h, witness, nl, 1 + nl)
+
+
+def helly_number(family, cap=20) -> HellyReport:
+    """The Helly number: the largest minimal empty-intersection subfamily
+    (or 1 if all intersections are nonempty), plus the nerve-Leray bound."""
+    _check_cap(family.names, cap)
+    return _helly_report(family.names, nerve(family))
 
 
 def helly_number_direct(family, cap=12) -> int:
@@ -171,8 +293,7 @@ def helly_number_direct(family, cap=12) -> int:
     subsets of size <= h intersect has nonempty total intersection."""
     names = family.names
     n = len(names)
-    if n > cap:
-        raise FamilyError("family size %d exceeds cap %d" % (n, cap))
+    _check_cap(names, cap)
     empty = {}
     for size in range(1, n + 1):
         for K in combinations(range(n), size):
@@ -206,7 +327,7 @@ def check_hl(family, cap=20):
     }
 
 
-class UnionFamily:
+class UnionFamily(_TableFamily):
     """Members that are finite unions of boxes, with the exact emptiness
     oracle (no disjointness or piece-count validation)."""
 
@@ -215,19 +336,8 @@ class UnionFamily:
         self.members = {name: tuple(boxes) for name, boxes in members.items()}
         self.names = tuple(self.members)
 
-    def is_empty_intersection(self, names):
-        stack = [None]
-        for name in names:
-            nxt = []
-            for acc in stack:
-                for box in self.members[name]:
-                    b = box if acc is None else box_meet([acc, box])
-                    if b is not None:
-                        nxt.append(b)
-            if not nxt:
-                return True
-            stack = nxt
-        return False
+    def _member_boxes(self):
+        return list(self.members.values())
 
 
 # -- grouped families ---------------------------------------------------
@@ -243,39 +353,25 @@ class FrValidationError(FamilyError):
 
 
 @dataclass(frozen=True)
-class FrFamily:
+class FrFamily(_TableFamily):
     """Members G_i, each a disjoint union of at most r base boxes (pieces);
     every subfamily intersection decomposes into at most r disjoint boxes."""
     dimension: int
     base: object                 # BoxFamily of all pieces
     groups: tuple                # ((group name, (piece names...)), ...)
     r: int
+    # The _MeetTable of the groups, filled by make_fr_family or on first
+    # use; like PartitionedComplex._e1_page it is not part of the value.
+    _table: object = field(default=None, init=False, compare=False,
+                           repr=False)
 
     @property
     def names(self):
         return tuple(g for g, _ in self.groups)
 
-    def pieces_of(self, group_name):
-        for g, pieces in self.groups:
-            if g == group_name:
-                return pieces
-        raise FamilyError("unknown group %r" % (group_name,))
-
-    def _choice_boxes(self, names):
-        """Nonempty piece-choice intersections over the named groups."""
-        groups = [self.pieces_of(g) for g in names]
-        out = []
-        stack = [[]]
-        for pieces in groups:
-            stack = [c + [p] for c in stack for p in pieces]
-        for choice in stack:
-            b = box_meet([self.base.members[p] for p in choice])
-            if b is not None:
-                out.append((tuple(choice), b))
-        return out
-
-    def is_empty_intersection(self, names):
-        return not self._choice_boxes(names)
+    def _member_boxes(self):
+        return [[self.base.members[p] for p in pieces]
+                for _, pieces in self.groups]
 
 
 def make_fr_family(base: BoxFamily, grouping, r) -> FrFamily:
@@ -301,25 +397,25 @@ def make_fr_family(base: BoxFamily, grouping, r) -> FrFamily:
                     "pieces %r and %r of group %r overlap" % (a, b, g), (g,))
     fam = FrFamily(base.dimension, base, groups, int(r))
     names = fam.names
-    for size in range(2, len(names) + 1):
-        for sub in combinations(names, size):
-            boxes = fam._choice_boxes(sub)
-            if len(boxes) > r:
-                raise FrValidationError(
-                    "intersection over %r splits into %d > r pieces"
-                    % (sub, len(boxes)), sub)
-            for (_, a), (_, b) in combinations(boxes, 2):
-                if not boxes_disjoint(a, b):
-                    raise FrValidationError(
-                        "intersection over %r has overlapping pieces"
-                        % (sub,), sub)
+    # The walk visits subfamilies by size, then lexicographically, so the
+    # first violator is the first in that order.  Only the count needs
+    # checking: two different piece choices differ in some group, whose
+    # pieces are disjoint, so the choice boxes never overlap.
+    masks = set()
+    for sub, mask, boxes in _meet_walk(fam.dimension, fam._member_boxes()):
+        if len(boxes) > r:
+            sub = tuple(names[i] for i in sub)
+            raise FrValidationError(
+                "intersection over %r splits into %d > r pieces"
+                % (sub, len(boxes)), sub)
+        masks.add(mask)
+    object.__setattr__(fam, "_table", _MeetTable(names, frozenset(masks)))
     return fam
 
 
-def pieces_projection(fr: FrFamily):
-    """The nerve of all pieces, partitioned by group, with its projection
-    report: the image must equal the nerve of the grouped family and the
-    fiber bound must be at most r."""
+def _pieces_projection(fr: FrFamily, ng):
+    """``pieces_projection`` given the nerve ``ng`` of ``fr``; also returns
+    the image of the projection."""
     piece_order = [p for _, pieces in fr.groups for p in pieces]
     piece_family = BoxFamily(fr.dimension,
                              {p: fr.base.members[p] for p in piece_order})
@@ -330,10 +426,9 @@ def pieces_projection(fr: FrFamily):
         parts.append(tuple(pos[p] for p in pieces))
     px = make_partitioned(X, parts)
     image = project(px)
-    ng = nerve(fr)
     matches = image.facets == ng.facets and image.vertex_count == ng.vertex_count
     r_val, witness = fiber_bound(px)
-    return px, {
+    return px, image, {
         "claim": "pieces_projection",
         "image_matches_nerve": matches,
         "fiber_bound": r_val,
@@ -343,13 +438,25 @@ def pieces_projection(fr: FrFamily):
     }
 
 
+def pieces_projection(fr: FrFamily):
+    """The nerve of all pieces, partitioned by group, with its projection
+    report: the image must equal the nerve of the grouped family and the
+    fiber bound must be at most r."""
+    px, _, report = _pieces_projection(fr, nerve(fr))
+    return px, report
+
+
 def check_amenta(fr: FrFamily, cap=20):
     """Verify h(G) <= r(d+1) and the full chain of inequalities
     h(G) <= 1 + L(image) <= 1 + r L(X) + r - 1 <= r(d+1)."""
-    report = helly_number(fr, cap=cap)
-    px, proj_report = pieces_projection(fr)
+    _check_cap(fr.names, cap)
+    ng = nerve(fr)
+    report = _helly_report(fr.names, ng)
+    px, image, proj_report = _pieces_projection(fr, ng)
     lx = leray_by_links(px.complex).value
-    l_image = leray_by_links(project(px)).value
+    # an image equal to the nerve has the nerve's Leray number
+    l_image = (report.nerve_leray if proj_report["image_matches_nerve"]
+               else leray_by_links(image).value)
     r, d = fr.r, fr.dimension
     h = report.helly_number
     chain = (

@@ -9,6 +9,8 @@ from itertools import combinations
 
 from leraytop import SimplicialComplex, project
 from leraytop.core import _maximal, as_simplex
+from leraytop.helly import (FamilyError, FrFamily, FrValidationError,
+                            box_meet, boxes_disjoint)
 from leraytop.homology import unreduced_betti
 from leraytop.icss import E1Page, alt_betti
 from leraytop.multiproj import (DEFAULT_MPC_SIMPLEX_GUARD,
@@ -184,3 +186,53 @@ def e1_page_by_building(px, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
     extra = alt_betti(M_extra, guard=guard)
     image = unreduced_betti(project(px))
     return E1Page(r, table, image, all(n == 0 for n in extra))
+
+
+def choice_boxes_by_product(fr, names):
+    """Nonempty piece-choice intersections over the named groups: every
+    product of one piece per group, met as rational boxes."""
+    pieces_of = dict(fr.groups)
+    groups = [pieces_of[g] for g in names]
+    out = []
+    stack = [[]]
+    for pieces in groups:
+        stack = [c + [p] for c in stack for p in pieces]
+    for choice in stack:
+        b = box_meet([fr.base.members[p] for p in choice])
+        if b is not None:
+            out.append((tuple(choice), b))
+    return out
+
+
+def make_fr_family_by_product(base, grouping, r):
+    """``make_fr_family`` checking every subfamily of size >= 2 by its full
+    product of piece choices, in size-then-lexicographic order."""
+    groups = tuple((g, tuple(pieces)) for g, pieces in grouping)
+    all_pieces = [p for _, pieces in groups for p in pieces]
+    if len(set(all_pieces)) != len(all_pieces):
+        raise FamilyError("a piece occurs in two groups")
+    for g, pieces in groups:
+        if not pieces:
+            raise FamilyError("group %r has no pieces" % (g,))
+        if len(pieces) > r:
+            raise FrValidationError(
+                "group %r has more than r=%d pieces" % (g, r), (g,))
+        for a, b in combinations(pieces, 2):
+            if not boxes_disjoint(base.members[a], base.members[b]):
+                raise FrValidationError(
+                    "pieces %r and %r of group %r overlap" % (a, b, g), (g,))
+    fam = FrFamily(base.dimension, base, groups, int(r))
+    names = fam.names
+    for size in range(2, len(names) + 1):
+        for sub in combinations(names, size):
+            boxes = choice_boxes_by_product(fam, sub)
+            if len(boxes) > r:
+                raise FrValidationError(
+                    "intersection over %r splits into %d > r pieces"
+                    % (sub, len(boxes)), sub)
+            for (_, a), (_, b) in combinations(boxes, 2):
+                if not boxes_disjoint(a, b):
+                    raise FrValidationError(
+                        "intersection over %r has overlapping pieces"
+                        % (sub,), sub)
+    return fam

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -13,6 +14,8 @@ from leraytop.helly import (FamilyError, FrValidationError, box_meet,
                             boxes_disjoint, interval_family,
                             minimal_empty_subfamilies)
 from leraytop.rng import CounterRng
+
+from oracles import choice_boxes_by_product, make_fr_family_by_product
 
 
 def triangle_sides():
@@ -129,7 +132,8 @@ def test_make_fr_family_examples():
     fr = make_fr_family(base, [("G1", ("F1a", "F1b")), ("G2", ("F2a",))], 2)
     assert fr.names == ("G1", "G2")
     assert not fr.is_empty_intersection(["G1", "G2"])
-    assert len(fr._choice_boxes(["G1", "G2"])) == 2
+    assert len(choice_boxes_by_product(fr, ["G1", "G2"])) == 2
+    assert _kernel_counts(fr)[(0, 1)] == 2
 
     single = make_fr_family(
         BoxFamily(1, {"Fa": make_box([(0, 1)]), "Fb": make_box([(0, 2)])}),
@@ -213,3 +217,168 @@ def test_nerve_facets_match_maximal(monkeypatch):
     for seed in range(4):
         nerve(random_fr_family(2, 4, 2, seed + 50))
     assert len(seen) == 10
+
+
+# -- the subfamily-meet table against the rational-box reference ----------
+
+
+def _kernel_counts(fr):
+    """{index tuple: number of choice boxes} of the table's walk."""
+    walk = helly_mod._meet_walk(fr.dimension, fr._member_boxes())
+    return {sub: len(boxes) for sub, _, boxes in walk}
+
+
+def _small_box(rng, d, max_len=2):
+    # half-integer endpoints from 0 to 6 + max_len: touching endpoints are
+    # common
+    out = []
+    for _ in range(d):
+        lo = Fraction(rng.randint(13), 2)
+        out.append((lo, lo + Fraction(rng.randint(2 * max_len + 1), 2)))
+    return Box(tuple(out))
+
+
+def _empty_by_product(members, names):
+    return all(box_meet(choice) is None
+               for choice in product(*[members[n] for n in names]))
+
+
+def _name_lists(rng, names, sub):
+    """``sub`` as given, permuted, and with a member repeated."""
+    picked = [names[i] for i in sub]
+    permuted = rng.sample(picked, len(picked))
+    return [picked, permuted, permuted + [picked[rng.randint(len(picked))]]]
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_fr_emptiness_and_counts_match_product(d):
+    for seed in range(6):
+        fr = random_fr_family(d, 5, 2, seed + 10 * d)
+        counts = _kernel_counts(fr)
+        names = fr.names
+        rng = CounterRng(seed)
+        for size in range(1, len(names) + 1):
+            for sub in combinations(range(len(names)), size):
+                ref = choice_boxes_by_product(fr, [names[i] for i in sub])
+                assert counts.get(sub, 0) == len(ref)
+                for listed in _name_lists(rng, names, sub):
+                    assert fr.is_empty_intersection(listed) == (not ref)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_box_and_union_emptiness_match_product(seed):
+    rng = CounterRng(seed + 700)
+    d = 1 + seed % 3
+    n = 4 + rng.randint(3)
+    boxes = {"m%d" % i: _small_box(rng, d) for i in range(n)}
+    # member m0 has no boxes for even seeds; others may have none too
+    unions = {"m%d" % i: tuple(_small_box(rng, d) for _ in range(
+        0 if i == 0 and seed % 2 == 0 else rng.randint(4))) for i in range(n)}
+    for family, members in ((BoxFamily(d, boxes),
+                             {k: (b,) for k, b in boxes.items()}),
+                            (UnionFamily(d, unions), unions)):
+        names = family.names
+        for size in range(1, n + 1):
+            for sub in combinations(range(n), size):
+                for listed in _name_lists(rng, names, sub):
+                    assert family.is_empty_intersection(listed) == \
+                        _empty_by_product(members, listed)
+
+
+def _raw_draw(seed):
+    """A grouping with no validity guarantee, r = 2: 4-6 groups in d = 1 or
+    2, mostly of 2 disjoint pieces, some of 1; a few groups have 0 or 3
+    pieces or overlapping pieces."""
+    rng = CounterRng(seed + 5000)
+    d = 1 + rng.randint(2)
+    base = {}
+    grouping = []
+    for gi in range(4 + rng.randint(3)):
+        u = rng.uniform()
+        count = 0 if u < 0.01 else 3 if u < 0.03 else 1 if u < 0.3 else 2
+        tries = 1 if rng.uniform() < 0.05 else 20
+        pieces = []
+        for pi in range(count):
+            for _ in range(tries):
+                box = _small_box(rng, d, max_len=4)
+                if all(boxes_disjoint(box, base[p]) for p in pieces):
+                    break
+            name = "F%d_%d" % (gi, pi)
+            base[name] = box
+            pieces.append(name)
+        grouping.append(("G%d" % gi, tuple(pieces)))
+    return BoxFamily(d, base), grouping
+
+
+def _validation_outcome(make, base, grouping):
+    try:
+        fam = make(base, grouping, 2)
+    except FamilyError as exc:
+        return type(exc), str(exc), getattr(exc, "subfamily", None)
+    return fam
+
+
+def test_validation_matches_product_on_raw_draws():
+    outcomes = {}
+    for seed in range(320):
+        base, grouping = _raw_draw(seed)
+        got = _validation_outcome(make_fr_family, base, grouping)
+        want = _validation_outcome(make_fr_family_by_product, base, grouping)
+        assert got == want, seed
+        kind = "accepted" if isinstance(got, FrFamily) else next(
+            k for k in ("splits", "overlap", "more than", "no pieces")
+            if k in got[1])
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    # every outcome, with many subfamilies split into more than r pieces
+    assert len(outcomes) == 5
+    assert outcomes["accepted"] >= 100 and outcomes["splits"] >= 50
+
+
+def test_empty_collection_is_refused_by_every_family():
+    families = [
+        AtomFamily({"a": {1}}),
+        BoxFamily(1, {"a": make_box([(0, 1)])}),
+        UnionFamily(1, {"a": (make_box([(0, 1)]),)}),
+        make_fr_family(BoxFamily(1, {"Fa": make_box([(0, 1)])}),
+                       [("G", ("Fa",))], 1),
+    ]
+    for fam in families:
+        with pytest.raises(FamilyError,
+                           match="intersection of an empty collection"):
+            fam.is_empty_intersection([])
+
+
+def test_all_empty_family_has_a_witness():
+    fam = UnionFamily(1, {"a": []})
+    assert minimal_empty_subfamilies(fam) == [("a",)]
+    rep = helly_number(fam)
+    assert rep.witness == ("a",) and rep.helly_number == 1
+    fam = UnionFamily(1, {"a": [], "b": [make_box([(0, 1)])]})
+    assert minimal_empty_subfamilies(fam) == [("a",)]
+    with pytest.raises(FamilyError):
+        minimal_empty_subfamilies(fam, cap=1)
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_check_amenta_builds_each_complex_once(monkeypatch):
+    calls = {}
+    for name in ("nerve", "project", "leray_by_links"):
+        _count_calls(monkeypatch, helly_mod, name, calls)
+    fr = random_fr_family(1, 4, 2, 3)
+    rep = check_amenta(fr)
+    assert rep["projection"]["image_matches_nerve"]
+    # the nerve of the groups and the nerve of the pieces; the image is the
+    # nerve, so only the nerve and X need a Leray scan
+    assert calls == {"nerve": 2, "project": 1, "leray_by_links": 2}
+    calls.clear()
+    helly_number(fr)
+    assert calls == {"nerve": 1, "leray_by_links": 1}

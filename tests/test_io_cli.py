@@ -271,6 +271,15 @@ def test_cli_non_object_members_on_stdin_exits_2():
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_helly_all_empty_family_names_its_witness():
+    proc = subprocess.run([sys.executable, "-m", "leraytop.cli", "helly", "-"],
+                          input='{"d":1,"members":{"a":[]}}',
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["witness"] == ["a"] and report["helly"] == 1
+
+
 def test_cli_check_count_summary_separates_skipped(capsys):
     argv = ["check", "hmps", "--seed", "0", "--count", "4", "--guard", "20"]
     assert cli.run(argv) == 0
