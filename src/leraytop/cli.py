@@ -317,6 +317,10 @@ def _cmd_check(args):
     elif args.kind == "inter":
         raise io_json.FormatError(
             "check inter needs --count (it draws random pairs)")
+    elif args.kind == "amenta":
+        raise io_json.FormatError(
+            "check amenta needs --count; for a family file use "
+            "leraytop amenta FILE")
     elif args.kind == "icss":
         px = io_json.partitioned_from_json(text)
         report = icss_mod.check_euler(px, guard=args.guard)

@@ -66,7 +66,7 @@ def boxes_disjoint(a: Box, b: Box) -> bool:
     return box_meet([a, b]) is None
 
 
-# -- the subfamily-meet table ---------------------------------------------
+# -- the subfamily walk --------------------------------------------------
 
 
 def _ranked(dimension, groups):
@@ -101,93 +101,91 @@ def _meet_ranked(a, b):
     return tuple(out)
 
 
-def _meet_walk(dimension, groups):
-    """Yield ``(sub, mask, boxes)`` for every subfamily of ``groups`` (one
-    list of boxes per member) with nonempty intersection, by size and then
-    in lexicographic order of the index tuple ``sub``; ``mask`` has bit i
-    set for each i in ``sub`` and ``boxes`` are the nonempty meets of one
-    box per member of ``sub``, as ranked boxes.
+def _meet_sets(a, b):
+    """Meet of two atom sets; None if empty."""
+    return a & b or None
 
-    An entry is its prefix ``sub[:-1]``'s boxes met with each box of its
+
+def _meet_walk(parts, meet):
+    """Yield ``(sub, meets)`` for every subfamily with nonempty
+    intersection, by size and then in lexicographic order of the index
+    tuple ``sub``.  ``parts`` holds one list of parts per member (the member
+    is their union) and ``meet(a, b)`` is the intersection of two parts, or
+    None if it is empty; ``meets`` are the nonempty meets of one part per
+    member of ``sub``.
+
+    An entry is its prefix ``sub[:-1]``'s meets met with each part of its
     last member, and a subfamily with an empty prefix is empty, so it is
     never visited.  Only the current and the next size are held.
     """
-    ranked = _ranked(dimension, groups)
-    n = len(ranked)
-    level = []
-    for i, boxes in enumerate(ranked):
-        if boxes:
-            entry = ((i,), 1 << i, boxes)
-            yield entry
-            level.append(entry)
+    n = len(parts)
+    level = [((i,), p) for i, p in enumerate(parts) if p]
     while level:
         nxt = []
-        for sub, mask, acc in level:
+        for sub, acc in level:
+            yield sub, acc
             for j in range(sub[-1] + 1, n):
-                boxes = []
+                meets = []
                 for a in acc:
-                    for b in ranked[j]:
-                        m = _meet_ranked(a, b)
+                    for b in parts[j]:
+                        m = meet(a, b)
                         if m is not None:
-                            boxes.append(m)
-                if boxes:
-                    entry = (sub + (j,), mask | 1 << j, boxes)
-                    yield entry
-                    nxt.append(entry)
+                            meets.append(m)
+                if meets:
+                    nxt.append((sub + (j,), meets))
         level = nxt
 
 
-class _MeetTable:
-    """The nonempty subfamilies of a family, one bitmask over its member
-    positions each: the emptiness oracle of box, union and grouped
-    families."""
-    __slots__ = ("index", "masks")
+class _WalkFamily:
+    """A family that keeps one thing: its nonempty subfamilies as sorted
+    index tuples over ``names``, which are the simplices of its nerve.  They
+    come from one ``_meet_walk`` over ``_parts()`` on first use, unless
+    ``make_fr_family`` stored them while validating.  Box families rank
+    ``_member_boxes()`` (one list of boxes per member, in ``names`` order).
+    """
+    _faces = None
 
-    def __init__(self, names, masks):
-        self.index = {name: i for i, name in enumerate(names)}
-        self.masks = masks
+    def _parts(self):
+        return _ranked(self.dimension, self._member_boxes()), _meet_ranked
 
-    def is_empty(self, names):
-        mask = 0
-        for name in names:
-            if name not in self.index:
-                raise FamilyError("unknown member %r" % (name,))
-            mask |= 1 << self.index[name]
-        if not mask:
-            raise FamilyError(_EMPTY_COLLECTION)
-        return mask not in self.masks
-
-
-class _TableFamily:
-    """Answers ``is_empty_intersection`` from a ``_MeetTable`` of
-    ``_member_boxes()`` (one list of boxes per member, in ``names``
-    order), built on first use unless ``make_fr_family`` built it."""
-    _table = None
+    def _nonempty(self):
+        if self._faces is None:
+            object.__setattr__(self, "_faces", frozenset(
+                sub for sub, _ in _meet_walk(*self._parts())))
+        return self._faces
 
     def is_empty_intersection(self, names):
-        if self._table is None:
-            walk = _meet_walk(self.dimension, self._member_boxes())
-            object.__setattr__(self, "_table", _MeetTable(
-                self.names, frozenset(mask for _, mask, _ in walk)))
-        return self._table.is_empty(names)
+        members = self.names
+        sub = set()
+        for name in names:
+            if name not in members:
+                raise FamilyError("unknown member %r" % (name,))
+            sub.add(members.index(name))
+        if not sub:
+            raise FamilyError(_EMPTY_COLLECTION)
+        return tuple(sorted(sub)) not in self._nonempty()
 
 
-class BoxFamily(_TableFamily):
+def _check_dimension(family):
+    for name, boxes in zip(family.names, family._member_boxes()):
+        if any(box.dimension != family.dimension for box in boxes):
+            raise FamilyError("member %r has wrong dimension" % (name,))
+
+
+class BoxFamily(_WalkFamily):
     """Named nonempty boxes in R^d with an exact intersection oracle."""
 
     def __init__(self, dimension, members):
         self.dimension = int(dimension)
         self.members = dict(members)
-        for name, box in self.members.items():
-            if box.dimension != self.dimension:
-                raise FamilyError("member %r has wrong dimension" % (name,))
         self.names = tuple(self.members)
+        _check_dimension(self)
 
     def _member_boxes(self):
         return [(box,) for box in self.members.values()]
 
 
-class AtomFamily:
+class AtomFamily(_WalkFamily):
     """Named finite subsets of a ground set of atoms; intersection pattern
     only, no good-cover claim."""
 
@@ -195,39 +193,21 @@ class AtomFamily:
         self.members = {name: frozenset(v) for name, v in members.items()}
         self.names = tuple(self.members)
 
-    def is_empty_intersection(self, names):
-        out = None
-        for n in names:
-            out = self.members[n] if out is None else out & self.members[n]
-            if not out:
-                return True
-        if out is None:
-            raise FamilyError(_EMPTY_COLLECTION)
-        return False
+    def _parts(self):
+        # an empty member has no parts, like a union of no boxes
+        return [[m] if m else [] for m in self.members.values()], _meet_sets
 
 
 def nerve(family) -> SimplicialComplex:
     """The nerve: one vertex per member, a simplex per subfamily with
     nonempty intersection.  Vertex labels carry the member names."""
-    names = family.names
-    n = len(names)
-    simplices = [(i,) for i in range(n)
-                 if not family.is_empty_intersection((names[i],))]
-    level = list(simplices)
-    while level:
-        nxt = []
-        for s in level:
-            for j in range(s[-1] + 1, n):
-                cand = s + (j,)
-                if not family.is_empty_intersection([names[i] for i in cand]):
-                    nxt.append(cand)
-        simplices.extend(nxt)
-        level = nxt
-    if not simplices:
+    faces = family._nonempty()
+    if not faces:
         return SimplicialComplex(0, ())
-    # every face of an intersecting subfamily intersects, so the level-wise
-    # set is closed under nonempty faces
-    return SimplicialComplex(n, _closed_facets(simplices), labels=names)
+    # every face of an intersecting subfamily intersects, so the set is
+    # closed under nonempty faces
+    return SimplicialComplex(len(family.names), _closed_facets(faces),
+                             labels=family.names)
 
 
 @dataclass(frozen=True)
@@ -247,30 +227,33 @@ def _check_cap(names, cap):
         raise FamilyError("family size %d exceeds cap %d" % (len(names), cap))
 
 
-def _minimal_empty(names, nv):
-    """The minimal non-faces of the nerve ``nv``, as name tuples."""
+def _minimal_empty(family):
+    """The minimal non-faces of the nerve, as name tuples by size and then
+    lexicographically.  Each is a face (the empty one included) extended by
+    one larger index, whose other codimension-1 faces are faces too."""
     # the empty subfamily counts as intersecting even when the nerve is void
-    simplex_set = set(nv.all_simplices(include_empty=True)) | {()}
+    faces = family._nonempty() | {()}
     out = []
-    for size in range(1, len(names) + 1):
-        for cand in combinations(range(len(names)), size):
-            if cand in simplex_set:
-                continue
-            if all(cand[:i] + cand[i + 1:] in simplex_set
-                   for i in range(size)):
-                out.append(tuple(names[i] for i in cand))
-    return out
+    for s in faces:
+        for j in range(s[-1] + 1 if s else 0, len(family.names)):
+            cand = s + (j,)
+            if cand not in faces and all(cand[:i] + cand[i + 1:] in faces
+                                         for i in range(len(s))):
+                out.append(cand)
+    out.sort(key=lambda c: (len(c), c))
+    return [tuple(family.names[i] for i in c) for c in out]
 
 
 def minimal_empty_subfamilies(family, cap=20):
     """Inclusion-minimal subfamilies with empty intersection (the minimal
     non-faces of the nerve)."""
     _check_cap(family.names, cap)
-    return _minimal_empty(family.names, nerve(family))
+    return _minimal_empty(family)
 
 
-def _helly_report(names, nv) -> HellyReport:
-    minimal = _minimal_empty(names, nv)
+def _helly_report(family, nv) -> HellyReport:
+    """``helly_number`` given the nerve ``nv`` of ``family``."""
+    minimal = _minimal_empty(family)
     if minimal:
         witness = max(minimal, key=len)
         h = max(1, len(witness))
@@ -285,7 +268,7 @@ def helly_number(family, cap=20) -> HellyReport:
     """The Helly number: the largest minimal empty-intersection subfamily
     (or 1 if all intersections are nonempty), plus the nerve-Leray bound."""
     _check_cap(family.names, cap)
-    return _helly_report(family.names, nerve(family))
+    return _helly_report(family, nerve(family))
 
 
 def helly_number_direct(family, cap=12) -> int:
@@ -327,7 +310,7 @@ def check_hl(family, cap=20):
     }
 
 
-class UnionFamily(_TableFamily):
+class UnionFamily(_WalkFamily):
     """Members that are finite unions of boxes, with the exact emptiness
     oracle (no disjointness or piece-count validation)."""
 
@@ -335,6 +318,7 @@ class UnionFamily(_TableFamily):
         self.dimension = int(dimension)
         self.members = {name: tuple(boxes) for name, boxes in members.items()}
         self.names = tuple(self.members)
+        _check_dimension(self)
 
     def _member_boxes(self):
         return list(self.members.values())
@@ -353,16 +337,16 @@ class FrValidationError(FamilyError):
 
 
 @dataclass(frozen=True)
-class FrFamily(_TableFamily):
+class FrFamily(_WalkFamily):
     """Members G_i, each a disjoint union of at most r base boxes (pieces);
     every subfamily intersection decomposes into at most r disjoint boxes."""
     dimension: int
     base: object                 # BoxFamily of all pieces
     groups: tuple                # ((group name, (piece names...)), ...)
     r: int
-    # The _MeetTable of the groups, filled by make_fr_family or on first
-    # use; like PartitionedComplex._e1_page it is not part of the value.
-    _table: object = field(default=None, init=False, compare=False,
+    # The nonempty subfamilies of groups, filled by make_fr_family or on
+    # first use; like PartitionedComplex._e1_page it is not part of the value.
+    _faces: object = field(default=None, init=False, compare=False,
                            repr=False)
 
     @property
@@ -401,15 +385,15 @@ def make_fr_family(base: BoxFamily, grouping, r) -> FrFamily:
     # first violator is the first in that order.  Only the count needs
     # checking: two different piece choices differ in some group, whose
     # pieces are disjoint, so the choice boxes never overlap.
-    masks = set()
-    for sub, mask, boxes in _meet_walk(fam.dimension, fam._member_boxes()):
+    faces = []
+    for sub, boxes in _meet_walk(*fam._parts()):
         if len(boxes) > r:
             sub = tuple(names[i] for i in sub)
             raise FrValidationError(
                 "intersection over %r splits into %d > r pieces"
                 % (sub, len(boxes)), sub)
-        masks.add(mask)
-    object.__setattr__(fam, "_table", _MeetTable(names, frozenset(masks)))
+        faces.append(sub)
+    object.__setattr__(fam, "_faces", frozenset(faces))
     return fam
 
 
@@ -451,7 +435,7 @@ def check_amenta(fr: FrFamily, cap=20):
     h(G) <= 1 + L(image) <= 1 + r L(X) + r - 1 <= r(d+1)."""
     _check_cap(fr.names, cap)
     ng = nerve(fr)
-    report = _helly_report(fr.names, ng)
+    report = _helly_report(fr, ng)
     px, image, proj_report = _pieces_projection(fr, ng)
     lx = leray_by_links(px.complex).value
     # an image equal to the nerve has the nerve's Leray number

@@ -236,3 +236,43 @@ def make_fr_family_by_product(base, grouping, r):
                         "intersection over %r has overlapping pieces"
                         % (sub,), sub)
     return fam
+
+
+def atom_empty_by_sets(family, names):
+    """``AtomFamily.is_empty_intersection`` as the named members' sets met
+    in turn, stopping at the first empty meet."""
+    out = None
+    for n in names:
+        out = family.members[n] if out is None else out & family.members[n]
+        if not out:
+            return True
+    if out is None:
+        raise FamilyError("intersection of an empty collection is undefined")
+    return False
+
+
+def nerve_by_oracle(names, is_empty):
+    """The nerve from every subfamily's emptiness by ``is_empty(name
+    list)``, with facets by pairwise comparison."""
+    simplices = [sub for size in range(1, len(names) + 1)
+                 for sub in combinations(range(len(names)), size)
+                 if not is_empty([names[i] for i in sub])]
+    if not simplices:
+        return SimplicialComplex(0, ())
+    return SimplicialComplex(len(names), _maximal(simplices), labels=names)
+
+
+def minimal_empty_by_scan(names, nv):
+    """The minimal non-faces of the nerve ``nv`` as name tuples, by scanning
+    all ``2^n`` subfamilies by size and then lexicographically."""
+    # the empty subfamily counts as intersecting even when the nerve is void
+    simplex_set = set(nv.all_simplices(include_empty=True)) | {()}
+    out = []
+    for size in range(1, len(names) + 1):
+        for cand in combinations(range(len(names)), size):
+            if cand in simplex_set:
+                continue
+            if all(cand[:i] + cand[i + 1:] in simplex_set
+                   for i in range(size)):
+                out.append(tuple(names[i] for i in cand))
+    return out

@@ -15,7 +15,9 @@ from leraytop.helly import (FamilyError, FrValidationError, box_meet,
                             minimal_empty_subfamilies)
 from leraytop.rng import CounterRng
 
-from oracles import choice_boxes_by_product, make_fr_family_by_product
+from oracles import (atom_empty_by_sets, choice_boxes_by_product,
+                     make_fr_family_by_product, minimal_empty_by_scan,
+                     nerve_by_oracle)
 
 
 def triangle_sides():
@@ -223,9 +225,9 @@ def test_nerve_facets_match_maximal(monkeypatch):
 
 
 def _kernel_counts(fr):
-    """{index tuple: number of choice boxes} of the table's walk."""
-    walk = helly_mod._meet_walk(fr.dimension, fr._member_boxes())
-    return {sub: len(boxes) for sub, _, boxes in walk}
+    """{index tuple: number of choice boxes} of the family's walk."""
+    walk = helly_mod._meet_walk(*fr._parts())
+    return {sub: len(boxes) for sub, boxes in walk}
 
 
 def _small_box(rng, d, max_len=2):
@@ -265,8 +267,9 @@ def test_fr_emptiness_and_counts_match_product(d):
                     assert fr.is_empty_intersection(listed) == (not ref)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_box_and_union_emptiness_match_product(seed):
+def _box_and_union_draw(seed):
+    """A seeded BoxFamily and UnionFamily, each with its members as lists
+    of boxes, and the generator for further draws."""
     rng = CounterRng(seed + 700)
     d = 1 + seed % 3
     n = 4 + rng.randint(3)
@@ -274,10 +277,16 @@ def test_box_and_union_emptiness_match_product(seed):
     # member m0 has no boxes for even seeds; others may have none too
     unions = {"m%d" % i: tuple(_small_box(rng, d) for _ in range(
         0 if i == 0 and seed % 2 == 0 else rng.randint(4))) for i in range(n)}
-    for family, members in ((BoxFamily(d, boxes),
-                             {k: (b,) for k, b in boxes.items()}),
-                            (UnionFamily(d, unions), unions)):
+    return rng, ((BoxFamily(d, boxes), {k: (b,) for k, b in boxes.items()}),
+                 (UnionFamily(d, unions), unions))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_box_and_union_emptiness_match_product(seed):
+    rng, draws = _box_and_union_draw(seed)
+    for family, members in draws:
         names = family.names
+        n = len(names)
         for size in range(1, n + 1):
             for sub in combinations(range(n), size):
                 for listed in _name_lists(rng, names, sub):
@@ -346,6 +355,8 @@ def test_empty_collection_is_refused_by_every_family():
         with pytest.raises(FamilyError,
                            match="intersection of an empty collection"):
             fam.is_empty_intersection([])
+        with pytest.raises(FamilyError, match="unknown member 'zz'"):
+            fam.is_empty_intersection(["zz"])
 
 
 def test_all_empty_family_has_a_witness():
@@ -382,3 +393,88 @@ def test_check_amenta_builds_each_complex_once(monkeypatch):
     calls.clear()
     helly_number(fr)
     assert calls == {"nerve": 1, "leray_by_links": 1}
+
+
+def test_union_family_checks_dimension():
+    planar = {"a": [make_box([(0, 1), (0, 1)])],
+              "b": [make_box([(0, 1), (5, 6)])]}
+    # disjoint on axis 1, which a 1-dimensional family would not look at
+    with pytest.raises(FamilyError, match="member 'a' has wrong dimension"):
+        UnionFamily(1, planar)
+    assert UnionFamily(2, planar).is_empty_intersection(["a", "b"])
+    with pytest.raises(FamilyError, match="member 'b' has wrong dimension"):
+        UnionFamily(2, {"a": planar["a"], "b": [make_box([(0, 1)])]})
+
+
+# -- the walk's nerve and minimal empty subfamilies against references ----
+
+
+def _assert_matches_references(fam, is_empty):
+    """Nerve facets, minimal empty subfamilies (order included) and the
+    Helly witness of ``fam`` equal those built from ``is_empty`` alone."""
+    names = fam.names
+    ref = nerve_by_oracle(names, is_empty)
+    nv = nerve(fam)
+    assert (nv.vertex_count, nv.facets) == (ref.vertex_count, ref.facets)
+    minimal = minimal_empty_by_scan(names, ref)
+    assert minimal_empty_subfamilies(fam) == minimal
+    witness = max(minimal, key=len) if minimal else ()
+    assert helly_number(fam).witness == witness
+    return minimal
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_fr_nerve_and_minimal_empty_match_references(d):
+    for seed in range(6):
+        fr = random_fr_family(d, 5, 2, seed + 10 * d)
+        _assert_matches_references(
+            fr, lambda sub: not choice_boxes_by_product(fr, sub))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_box_and_union_nerve_and_minimal_empty_match_references(seed):
+    for family, members in _box_and_union_draw(seed)[1]:
+        _assert_matches_references(
+            family, lambda sub: _empty_by_product(members, sub))
+
+
+def _atom_draw(seed):
+    """4-7 members over 6 atoms; member m0 is empty for seeds divisible by
+    3, and any member may come out empty."""
+    rng = CounterRng(seed + 900)
+    n = 4 + rng.randint(4)
+    members = {"m%d" % i: {a for a in range(6) if rng.uniform() < 0.55}
+               for i in range(n)}
+    if seed % 3 == 0:
+        members["m0"] = set()
+    return AtomFamily(members)
+
+
+def test_atom_families_match_set_oracle():
+    with_empty = several = 0
+    for seed in range(20):
+        fam = _atom_draw(seed)
+        names = fam.names
+        for size in range(1, len(names) + 1):
+            for sub in combinations(names, size):
+                assert fam.is_empty_intersection(sub) == \
+                    atom_empty_by_sets(fam, sub)
+        minimal = _assert_matches_references(
+            fam, lambda sub: atom_empty_by_sets(fam, sub))
+        with_empty += not all(fam.members.values())
+        several += len(minimal) >= 3
+    # the draws exercise empty members and several minimal empty sets
+    assert with_empty >= 7 and several >= 10
+
+
+def test_all_empty_families_match_references():
+    unions = [UnionFamily(1, {"a": []}),
+              UnionFamily(2, {"a": [], "b": [], "c": []})]
+    for fam in unions:
+        minimal = _assert_matches_references(
+            fam, lambda sub: _empty_by_product(fam.members, sub))
+        assert minimal == [(name,) for name in fam.names]
+    fam = AtomFamily({"a": set(), "b": set()})
+    minimal = _assert_matches_references(
+        fam, lambda sub: atom_empty_by_sets(fam, sub))
+    assert minimal == [("a",), ("b",)]

@@ -262,6 +262,15 @@ def test_cli_unreadable_input_exits_2(argv, tmp_path, capsys):
     assert err.count("error: ") == 2 and "Traceback" not in err
 
 
+def test_cli_check_amenta_file_points_to_amenta(tmp_path, capsys):
+    f = tmp_path / "family.json"
+    f.write_text('{"d": 1, "members": {"G": [[["0", "1"]]]}}')
+    assert cli.run(["check", "amenta", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "leraytop amenta FILE" in err
+    assert "Traceback" not in err
+
+
 def test_cli_non_object_members_on_stdin_exits_2():
     proc = subprocess.run([sys.executable, "-m", "leraytop.cli", "helly", "-"],
                           input='{"d":1,"members":[1]}', capture_output=True,
