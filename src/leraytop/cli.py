@@ -3,8 +3,9 @@
 Reports are JSON lines on standard output (one claim per line); a human
 summary goes to standard error.  Exit codes: 0 all claims hold, 1 a checked
 inequality failed (an implementation bug, never expected), 2 usage or
-format error, 3 internal oracle disagreement, 4 unexpected internal error
-(traceback on standard error).
+format error, or a guard refusing a single input, 3 internal oracle
+disagreement, 4 unexpected internal error (traceback on standard error).
+A batch run (``--count``) counts a refused instance as skipped instead.
 """
 from __future__ import annotations
 

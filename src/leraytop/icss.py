@@ -22,19 +22,16 @@ from .leray import leray_by_links
 from .multiproj import (DEFAULT_MPC_SIMPLEX_GUARD, DEFAULT_MPC_VERTEX_GUARD,
                         MultiPointComplex, PartitionedComplex,
                         _check_simplex_count, _check_vertex_bound,
-                        _fiber_counts, multiple_point_complex, project)
+                        _mpc_simplex_count, _section_table,
+                        multiple_point_complex, project)
 
 
 def perm_sign(p):
     """Parity of a permutation given as a tuple of images."""
-    p = list(p)
-    sign = 1
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
+    p = tuple(p)
+    if sorted(p) != list(range(len(p))):
+        raise ComplexError("not a permutation of range(%d)" % len(p))
+    return _sort_sign(p)
 
 
 def _sort_sign(values):
@@ -44,8 +41,6 @@ def _sort_sign(values):
     vals = list(values)
     for i in range(len(vals)):
         m = min(range(i, len(vals)), key=lambda j: vals[j])
-        if vals[m] == vals[i] and m != i:
-            return 0
         if m != i:
             vals[i], vals[m] = vals[m], vals[i]
             sign = -sign
@@ -203,19 +198,18 @@ class E1Page:
         return sum((-1) ** (p + q) * n for (p, q), n in self.table.items())
 
 
-def _refuse_over_guard(px: PartitionedComplex, counts, r, vertex_guard,
+def _refuse_over_guard(px: PartitionedComplex, table, r, vertex_guard,
                        guard):
     """Raise the GuardExceeded that building M_1..M_{r+1} and their
     alternating chains would raise first, without building any of them.
 
-    M_k of a single factor has exactly sum_I n_I^k nonempty simplices, n_I
-    being the fiber count over the image simplex I; each k is checked as
-    ``generalized_mpc``, ``all_simplices`` (which counts the empty simplex)
-    and ``alt_chain_complex`` would check it, in that order.
+    The size of each M_k comes from the section table of ``px``; each k is
+    checked as ``generalized_mpc``, ``all_simplices`` (which counts the
+    empty simplex) and ``alt_chain_complex`` would check it, in that order.
     """
     for k in range(1, r + 2):
         _check_vertex_bound(px.parts, k, vertex_guard)
-        size = sum(n ** k for n in counts.values())
+        size = _mpc_simplex_count([table] * k)
         _check_simplex_count(size, guard)
         if not size:
             continue            # alt_betti stops at a void complex
@@ -231,13 +225,13 @@ def e1_page(px: PartitionedComplex,
     """Compute the page columns p = 0..r-1, plus the column at p = r which
     must be identically zero.
 
-    Guard refusals are decided from the fiber counts before anything is
+    Guard refusals are decided from the section table before anything is
     built.  The page is computed once per ``px`` and kept on it; the guards
     are checked on every call, so a smaller guard still refuses.
     """
-    counts = _fiber_counts(px)
-    r = max(counts.values(), default=0)
-    _refuse_over_guard(px, counts, r, vertex_guard, guard)
+    sections = _section_table(px)
+    r = max(map(len, sections.values()), default=0)
+    _refuse_over_guard(px, sections, r, vertex_guard, guard)
     if px._e1_page is None:
         table = {}
         for p in range(r):
@@ -267,8 +261,7 @@ def double_point_closure(M: MultiPointComplex,
         secs = [frozenset(M.tuples[v][r] for v in s) for r in range(M.k)]
         if len(set(secs)) == M.k:
             gens.append(s)
-    facets = _maximal(gens) if gens else frozenset()
-    cx = SimplicialComplex(M.complex.vertex_count, facets,
+    cx = SimplicialComplex(M.complex.vertex_count, _maximal(gens),
                            labels=M.complex.labels)
     return MultiPointComplex(cx, M.k, M.parts, M.part_of_vertex, M.tuples,
                              M.equal_factors)

@@ -10,9 +10,9 @@ projection is a simplex of X_r.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 from .core import (DEFAULT_SIMPLEX_GUARD, ComplexError, GuardExceeded,
                    SimplicialComplex, _closed_facets, _maximal, as_simplex,
@@ -83,26 +83,25 @@ def project(px: PartitionedComplex) -> SimplicialComplex:
     return SimplicialComplex(px.m, _maximal(facets))
 
 
-def _sections(X: SimplicialComplex, part_vertex_lists):
-    """All ways to pick one vertex per listed part forming a simplex of X,
-    in lexicographic order of the choices."""
-    out = [()]
-    for vertices in part_vertex_lists:
-        out = [prefix + (v,) for prefix in out for v in vertices
-               if X.contains(sorted(prefix + (v,)))]
-    return out
-
-
-def _fiber_counts(px: PartitionedComplex) -> Counter:
-    """The number of simplices of X over each nonempty image simplex, in
+def _section_table(px: PartitionedComplex) -> dict:
+    """Each nonempty image simplex mapped to the simplices of X over it, in
     one pass over X's simplices.
 
     Parts are 0-dimensionally induced, so these are the sections over the
-    image simplex.
+    image simplex.  Each is kept as X lists it, in vertex order.
     """
     owner = px.part_of()
-    return Counter(tuple(sorted(owner[v] for v in s))
-                   for s in px.complex.all_simplices())
+    table = {}
+    for s in px.complex.all_simplices():
+        table.setdefault(tuple(sorted(owner[v] for v in s)), []).append(s)
+    return table
+
+
+def _mpc_simplex_count(tables) -> int:
+    """The number of nonempty simplices of the multiple-point complex of
+    factors with these section tables: over each image simplex, the product
+    of the factors' section counts."""
+    return sum(prod(len(t.get(I, ())) for t in tables) for I in tables[0])
 
 
 def _check_vertex_bound(parts, k, vertex_guard):
@@ -113,8 +112,9 @@ def _check_vertex_bound(parts, k, vertex_guard):
 
 
 def _check_simplex_count(count, guard):
-    """Refuse a multiple-point complex with too many simplices."""
-    if count > guard:
+    """Refuse a multiple-point complex with too many simplices; a void one
+    has nothing to build and passes any guard."""
+    if count and count > guard:
         raise GuardExceeded(
             "multiple-point simplex count exceeds guard %d" % guard)
 
@@ -126,11 +126,11 @@ def fiber_bound(px: PartitionedComplex):
     Returns (r, witness) where witness is the first image simplex, in
     (dimension, lex) order, attaining r.
     """
-    counts = _fiber_counts(px)
-    if not counts:
+    table = _section_table(px)
+    if not table:
         return 0, None
-    r = max(counts.values())
-    witness = min((s for s, n in counts.items() if n == r),
+    r = max(map(len, table.values()))
+    witness = min((s for s, secs in table.items() if len(secs) == r),
                   key=lambda t: (len(t), t))
     return r, witness
 
@@ -177,30 +177,23 @@ def generalized_mpc(pxs, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
             raise ComplexError("factors have mismatched part structures")
     k = len(pxs)
     _check_vertex_bound(parts, k, vertex_guard)
-    images = [project(px) for px in pxs]
-    common = [s for s in images[0].all_simplices()
-              if all(img.contains(s) for img in images[1:])]
-    simplex_sets = set()
-    for I in common:
-        lists = [parts[i] for i in I]
-        secs = [_sections(factor.complex, lists) for factor in pxs]
-        total = 1
-        for s in secs:
-            total *= len(s)
-        _check_simplex_count(len(simplex_sets) + total, guard)
-        stack = [()]
-        for sec in secs:
-            stack = [prefix + (choice,) for prefix in stack for choice in sec]
-        for combo in stack:
-            simplex_sets.add(frozenset(
-                (I[j], tuple(sec[j] for sec in combo))
-                for j in range(len(I))))
-    keys = sorted({v for s in simplex_sets for v in s})
+    tables = [_section_table(px) for px in pxs]
+    _check_simplex_count(_mpc_simplex_count(tables), guard)
+    owner = pxs[0].part_of()
+    simplices = []
+    for I in tables[0]:
+        # each section's vertices in the order of the parts of I
+        by_part = [[sorted(s, key=owner.__getitem__) for s in t.get(I, ())]
+                   for t in tables]
+        for combo in product(*by_part):
+            simplices.append(tuple((I[j], tuple(sec[j] for sec in combo))
+                                   for j in range(len(I))))
+    keys = sorted({v for s in simplices for v in s})
     idx = {key: i for i, key in enumerate(keys)}
-    # a face of a simplex over I restricts its sections to a face of I, so
+    # keys sort by part first, so each simplex's indices already ascend; a
+    # face of a simplex over I restricts its sections to a face of I, so
     # the set is closed under nonempty faces
-    facets = _closed_facets(tuple(sorted(idx[v] for v in s))
-                            for s in simplex_sets)
+    facets = _closed_facets(tuple(idx[v] for v in s) for s in simplices)
     cx = SimplicialComplex(len(keys), facets, labels=keys)
     equal = all(px.complex == pxs[0].complex for px in pxs[1:])
     return MultiPointComplex(

@@ -7,14 +7,15 @@ library's homology/rank implementation.
 """
 from itertools import combinations
 
-from leraytop import SimplicialComplex, project
-from leraytop.core import _maximal, as_simplex
+from leraytop import ComplexError, SimplicialComplex, project
+from leraytop.core import _closed_facets, _maximal, as_simplex
 from leraytop.helly import (FamilyError, FrFamily, FrValidationError,
                             box_meet, boxes_disjoint)
 from leraytop.homology import unreduced_betti
 from leraytop.icss import E1Page, alt_betti
 from leraytop.multiproj import (DEFAULT_MPC_SIMPLEX_GUARD,
-                                DEFAULT_MPC_VERTEX_GUARD, _sections,
+                                DEFAULT_MPC_VERTEX_GUARD, MultiPointComplex,
+                                _check_simplex_count, _check_vertex_bound,
                                 fiber_bound, multiple_point_complex)
 
 
@@ -158,6 +159,61 @@ def link_facets_by_maximal(X: SimplicialComplex, A):
     aset = set(as_simplex(A))
     return _maximal(tuple(sorted(set(f) - aset))
                     for f in X.facets if aset <= set(f))
+
+
+def _sections(X: SimplicialComplex, part_vertex_lists):
+    """All ways to pick one vertex per listed part forming a simplex of X,
+    in lexicographic order of the choices."""
+    out = [()]
+    for vertices in part_vertex_lists:
+        out = [prefix + (v,) for prefix in out for v in vertices
+               if X.contains(sorted(prefix + (v,)))]
+    return out
+
+
+def mpc_by_sections(pxs, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
+                    guard=DEFAULT_MPC_SIMPLEX_GUARD) -> MultiPointComplex:
+    """``generalized_mpc`` over the image simplices common to every
+    factor's projection, each factor's sections found by extending choices
+    one part at a time and testing each with ``contains``, and the simplex
+    count checked as it grows."""
+    if not pxs:
+        raise ComplexError("at least one factor is required")
+    parts = pxs[0].parts
+    for px in pxs[1:]:
+        if px.parts != parts:
+            raise ComplexError("factors have mismatched part structures")
+    k = len(pxs)
+    _check_vertex_bound(parts, k, vertex_guard)
+    images = [project(px) for px in pxs]
+    common = [s for s in images[0].all_simplices()
+              if all(img.contains(s) for img in images[1:])]
+    simplex_sets = set()
+    for I in common:
+        lists = [parts[i] for i in I]
+        secs = [_sections(factor.complex, lists) for factor in pxs]
+        total = 1
+        for s in secs:
+            total *= len(s)
+        _check_simplex_count(len(simplex_sets) + total, guard)
+        stack = [()]
+        for sec in secs:
+            stack = [prefix + (choice,) for prefix in stack for choice in sec]
+        for combo in stack:
+            simplex_sets.add(frozenset(
+                (I[j], tuple(sec[j] for sec in combo))
+                for j in range(len(I))))
+    keys = sorted({v for s in simplex_sets for v in s})
+    idx = {key: i for i, key in enumerate(keys)}
+    # a face of a simplex over I restricts its sections to a face of I, so
+    # the set is closed under nonempty faces
+    facets = _closed_facets(tuple(sorted(idx[v] for v in s))
+                            for s in simplex_sets)
+    cx = SimplicialComplex(len(keys), facets, labels=keys)
+    equal = all(px.complex == pxs[0].complex for px in pxs[1:])
+    return MultiPointComplex(
+        cx, k, parts,
+        tuple(key[0] for key in keys), tuple(key[1] for key in keys), equal)
 
 
 def fiber_bound_by_sections(px):

@@ -26,6 +26,7 @@ from leraytop.multiproj import (make_partitioned, multiple_point_complex,
                                 random_complex)
 from leraytop.rng import CounterRng
 
+from childenv import child_env
 from oracles import enumerate_complexes
 
 
@@ -205,7 +206,8 @@ def test_criterion_10_determinism():
     ok = True
     for argv in batches:
         cmd = [sys.executable, "-m", "leraytop.cli"] + argv
-        runs = [subprocess.run(cmd, capture_output=True, text=True)
+        runs = [subprocess.run(cmd, capture_output=True, text=True,
+                               env=child_env())
                 for _ in range(2)]
         outs = []
         for proc in runs:

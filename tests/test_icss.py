@@ -1,4 +1,5 @@
 import json
+from itertools import combinations, permutations
 
 import pytest
 
@@ -10,9 +11,9 @@ from leraytop import cli, icss, multiproj
 from leraytop.cli import _lproj_instance
 from leraytop.core import ComplexError
 from leraytop.homology import rank_of_rows
-from leraytop.icss import _actions, perm_sign
+from leraytop.icss import _actions, _sort_sign, perm_sign
 from leraytop.io_json import partitioned_to_json
-from leraytop.multiproj import (PartitionedComplex, _fiber_counts,
+from leraytop.multiproj import (PartitionedComplex, _section_table,
                                 fiber_bound, make_partitioned, random_complex,
                                 random_partitioned_complex, extremal_example)
 from leraytop.rng import CounterRng
@@ -32,6 +33,14 @@ def test_perm_sign():
     assert perm_sign((0, 1, 2)) == 1
     assert perm_sign((1, 0, 2)) == -1
     assert perm_sign((1, 2, 0)) == 1
+    for bad in ((0, 0), (2,)):
+        with pytest.raises(ComplexError, match="not a permutation"):
+            perm_sign(bad)
+    # the parity of the inversion count, on every permutation of <= 6
+    for n in range(7):
+        for p in permutations(range(n)):
+            inversions = sum(a > b for a, b in combinations(p, 2))
+            assert perm_sign(p) == _sort_sign(p) == (-1) ** inversions
 
 
 def test_sym_action_examples():
@@ -273,9 +282,10 @@ REFUSAL_IDS = ["seed-%d" % a if kind == "seed" else "extremal-%d-%d" % a
 def test_e1_page_refuses_like_building(kind, arg, monkeypatch):
     px = (_lproj_instance(arg, 12) if kind == "seed"
           else extremal_example(*arg))
-    counts = _fiber_counts(px)
-    r = max(counts.values())
-    sizes = [sum(n ** k for n in counts.values()) for k in range(1, r + 2)]
+    table = _section_table(px)
+    r = max(map(len, table.values()))
+    sizes = [sum(len(secs) ** k for secs in table.values())
+             for k in range(1, r + 2)]
     guards = {50, 500, 5000, 20000}
     # the reference builds every M_k a guard admits, so boundaries above
     # the largest fixed guard would cost it minutes and gigabytes;

@@ -13,6 +13,8 @@ from leraytop.io_json import (FormatError, complex_from_json, complex_to_json,
                               partitioned_to_json)
 from leraytop.multiproj import extremal_example, make_partitioned
 
+from childenv import child_env
+
 
 def test_complex_roundtrip_byte_identity():
     X = make_complex([[0, 1], [1, 2], [0, 2]])
@@ -161,9 +163,9 @@ def test_cli_workers_match_serial():
     cmd = [sys.executable, "-m", "leraytop.cli", "check", "lproj",
            "--seed", "3", "--count", "4"]
     serial = subprocess.run(cmd + ["--workers", "1"], capture_output=True,
-                            text=True)
+                            text=True, env=child_env())
     parallel = subprocess.run(cmd + ["--workers", "2"], capture_output=True,
-                              text=True)
+                              text=True, env=child_env())
     assert serial.returncode == parallel.returncode == 0
     assert serial.stdout == parallel.stdout
 
@@ -172,7 +174,8 @@ def test_cli_shell_pipe_end_to_end():
     pipe = ("%s -m leraytop.cli example --r 2 --d 2 | "
             "%s -m leraytop.cli check lproj") % (sys.executable,
                                                  sys.executable)
-    proc = subprocess.run(pipe, shell=True, capture_output=True, text=True)
+    proc = subprocess.run(pipe, shell=True, capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tight"]
 
@@ -274,7 +277,7 @@ def test_cli_check_amenta_file_points_to_amenta(tmp_path, capsys):
 def test_cli_non_object_members_on_stdin_exits_2():
     proc = subprocess.run([sys.executable, "-m", "leraytop.cli", "helly", "-"],
                           input='{"d":1,"members":[1]}', capture_output=True,
-                          text=True)
+                          text=True, env=child_env())
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
@@ -283,7 +286,7 @@ def test_cli_non_object_members_on_stdin_exits_2():
 def test_cli_helly_all_empty_family_names_its_witness():
     proc = subprocess.run([sys.executable, "-m", "leraytop.cli", "helly", "-"],
                           input='{"d":1,"members":{"a":[]}}',
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["witness"] == ["a"] and report["helly"] == 1

@@ -11,15 +11,15 @@ from leraytop import (ComplexError, GuardExceeded, boundary_complex,
                       random_partitioned_complex, reduced_betti, solid_simplex,
                       tilde_closure)
 from leraytop import multiproj
-from leraytop.cli import _lproj_instance
+from leraytop.cli import _hmps_instances, _lproj_instance
 from leraytop.core import (SimplicialComplex, _closed_facets, _maximal,
                            make_complex as _mk)
-from leraytop.multiproj import (_sections, make_partitioned,
+from leraytop.multiproj import (_section_table, make_partitioned,
                                 projection_image_of_extremal, random_complex)
 from leraytop.icss import sym_action
 from leraytop.rng import CounterRng
 
-from oracles import fiber_bound_by_sections
+from oracles import fiber_bound_by_sections, mpc_by_sections
 
 
 def two_points_one_part():
@@ -279,19 +279,87 @@ def test_mpc_facets_match_maximal(monkeypatch):
 def test_sections_are_the_filtered_product(seed):
     px = _lproj_instance(seed, 12)
     X = px.complex
-    for sigma in project(px).all_simplices():
+    table = _section_table(px)
+    images = project(px).all_simplices()
+    assert sorted(table) == sorted(images)
+    for sigma in images:
         lists = [px.parts[i] for i in sigma]
-        assert _sections(X, lists) == [c for c in product(*lists)
-                                       if X.contains(sorted(c))]
+        assert sorted(table[sigma]) == sorted(
+            tuple(sorted(c)) for c in product(*lists) if X.contains(sorted(c)))
 
 
 def test_sections_leave_no_reference_cycles():
     px = extremal_example(3, 2)
-    lists = [px.parts[i] for i in range(4)]
     gc.collect()
     gc.disable()
     try:
-        assert _sections(px.complex, lists)
+        assert not generalized_mpc([px, px]).complex.is_void()
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- generalized_mpc against the per-part extension with contains -------
+
+
+def _mpc_outcome(fn, pxs, guard):
+    """The complex fn builds, or the type and message of its refusal."""
+    try:
+        M = fn(pxs, guard=guard)
+    except ComplexError as exc:
+        return type(exc), str(exc)
+    return (M.complex.facets, M.complex.labels, M.part_of_vertex, M.tuples,
+            M.equal_factors)
+
+
+def _mpc_inputs(kind, args):
+    """Lists of factors of one kind."""
+    if kind == "lproj":
+        return [[_lproj_instance(*args, 12)] * k for k in (1, 2, 3)]
+    if kind == "hmps":
+        return [_hmps_instances(*args)]
+    if kind == "extremal":
+        return [[extremal_example(*args)] * k for k in (1, 2, 3)]
+    if kind == "reordered":
+        # part order differs from vertex order: part 0 holds vertices 0, 3
+        px, other = (make_partitioned(_mk(facets, vertex_count=4),
+                                      [(0, 3), (1, 2)])
+                     for facets in ([(0, 1), (0, 2), (1, 3)], [(0, 2), (2, 3)]))
+        return [[px] * k for k in (1, 2, 3)] + [[px, other], [other, px]]
+    parts = [(0,), (1,)]
+    px = make_partitioned(make_complex([[0, 1]]), parts)
+    void = make_partitioned(SimplicialComplex(2, ()), parts)
+    empty = make_partitioned(SimplicialComplex(2, [()]), parts)
+    # no factors, and mismatched part structures, raise ComplexError
+    return [[void], [empty], [void] * 2, [empty] * 3, [px, void],
+            [void, px], [px, empty], [empty, px], [empty, void], [],
+            [px, make_partitioned(make_complex([[0], [1]]), [(0, 1)])]]
+
+
+MPC_CASES = ([("lproj", (s,)) for s in range(60)]
+             + [("hmps", (s,)) for s in range(60)]
+             + [("extremal", rd) for rd in ((2, 2), (3, 2), (2, 3))]
+             + [("reordered", ()), ("degenerate", ())])
+MPC_IDS = ["-".join(map(str, (kind,) + args)) for kind, args in MPC_CASES]
+
+
+@pytest.mark.parametrize("kind,args", MPC_CASES, ids=MPC_IDS)
+def test_generalized_mpc_matches_sections_reference(kind, args, monkeypatch):
+    calls = []
+
+    def counted(simplices):
+        calls.append(1)
+        return _closed_facets(simplices)
+
+    monkeypatch.setattr(multiproj, "_closed_facets", counted)
+    for pxs in _mpc_inputs(kind, args):
+        ref = _mpc_outcome(mpc_by_sections, pxs,
+                           multiproj.DEFAULT_MPC_SIMPLEX_GUARD)
+        count = (0 if isinstance(ref[0], type)
+                 else len(SimplicialComplex(0, ref[0]).all_simplices()))
+        for guard in (count - 1, count, count + 1):
+            calls.clear()
+            got = _mpc_outcome(generalized_mpc, pxs, guard)
+            assert got == _mpc_outcome(mpc_by_sections, pxs, guard), guard
+            if isinstance(got[0], type):
+                assert not calls, guard      # refused before building
