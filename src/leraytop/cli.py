@@ -118,43 +118,45 @@ def _hl_instance(seed):
 # -- batch harness --------------------------------------------------------
 
 
+# the claim a batch report names when a guard refuses an instance
+_SKIP_CLAIMS = {"lproj": "projection_bound", "hmps": "mps_vanishing",
+                "inter": "intersection_bound", "icss": "e1_consistency"}
+
+
 def _run_check_instance(kind, seed, options):
-    """One seeded instance of a batch check; returns a list of reports."""
+    """One seeded instance of a batch check; returns a list of reports.
+    A guard refusal adds a skipped report after any that were made."""
     max_vertices = options.get("max_vertices", 12)
     guard = options.get("guard", 20000)
     reports = []
-    if kind == "lproj":
-        px = _lproj_instance(seed, max_vertices)
-        reports.append(check_projection_theorem(px))
-    elif kind == "hmps":
-        pxs = _hmps_instances(seed, min(max_vertices, 8))
-        try:
+    try:
+        if kind == "lproj":
+            px = _lproj_instance(seed, max_vertices)
+            reports.append(check_projection_theorem(px, guard=guard))
+        elif kind == "hmps":
+            pxs = _hmps_instances(seed, min(max_vertices, 8))
             reports.append(check_mps_vanishing(pxs, guard=guard))
-        except GuardExceeded as exc:
-            reports.append({"claim": "mps_vanishing", "skipped": True,
-                            "reason": str(exc), "holds": True})
-    elif kind == "inter":
-        reports.append(check_intersection_bound(_inter_instances(
-            seed, max_vertices)))
-    elif kind == "hl":
-        reports.append(helly_mod.check_hl(_hl_instance(seed)))
-    elif kind == "amenta":
-        fr = helly_mod.random_fr_family(options.get("d", 1),
-                                        options.get("groups", 5),
-                                        options.get("r", 2), seed)
-        reports.append(helly_mod.check_amenta(fr))
-    elif kind == "icss":
-        px = _lproj_instance(seed, max_vertices)
-        try:
+        elif kind == "inter":
+            reports.append(check_intersection_bound(
+                _inter_instances(seed, max_vertices), guard=guard))
+        elif kind == "hl":
+            reports.append(helly_mod.check_hl(_hl_instance(seed)))
+        elif kind == "amenta":
+            fr = helly_mod.random_fr_family(options.get("d", 1),
+                                            options.get("groups", 5),
+                                            options.get("r", 2), seed)
+            reports.append(helly_mod.check_amenta(fr))
+        elif kind == "icss":
+            px = _lproj_instance(seed, max_vertices)
             reports.append(icss_mod.check_euler(px, guard=guard))
             reports.append(icss_mod.check_proof_vanishing(px, guard=guard))
             M2 = multiple_point_complex(px, 2, guard=guard)
             reports.append(icss_mod.check_alt_chain_iso(M2, guard=guard))
-        except GuardExceeded as exc:
-            reports.append({"claim": "e1_consistency", "skipped": True,
-                            "reason": str(exc), "holds": True})
-    else:
-        raise ComplexError("unknown check kind %r" % (kind,))
+        else:
+            raise ComplexError("unknown check kind %r" % (kind,))
+    except GuardExceeded as exc:
+        reports.append({"claim": _SKIP_CLAIMS.get(kind, kind),
+                        "skipped": True, "reason": str(exc), "holds": True})
     for rep in reports:
         rep["instance"] = {"kind": kind, "seed": seed}
     return reports
@@ -311,7 +313,7 @@ def _cmd_check(args):
     text = _read_text(args.file)
     if args.kind == "lproj":
         px = io_json.partitioned_from_json(text)
-        report = check_projection_theorem(px)
+        report = check_projection_theorem(px, guard=args.guard)
     elif args.kind == "hmps":
         px = io_json.partitioned_from_json(text)
         report = check_mps_vanishing([px, px], guard=args.guard)
@@ -338,6 +340,14 @@ def _cmd_check(args):
     return EXIT_OK if report["holds"] else EXIT_CLAIM_FAILED
 
 
+def _nonnegative_int(text):
+    """argparse type of a guard: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            "expected a nonnegative integer, got %r" % text)
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="leraytop",
@@ -350,7 +360,7 @@ def build_parser():
         if needs_file:
             p.add_argument("file", nargs="?", default=None,
                            help="input JSON file ('-' or omitted: stdin)")
-        p.add_argument("--guard", type=int, default=200000,
+        p.add_argument("--guard", type=_nonnegative_int, default=200000,
                        help="simplex-count guard (default %(default)s)")
 
     p = sub.add_parser("homology", help="reduced Betti numbers of a complex")

@@ -2,17 +2,32 @@
 complexes, the first page of the image computing spectral sequence, and its
 consistency checks.
 
-The alternating subcomplex is spanned, per degree, by one representative of
-each simplex orbit whose setwise stabilizer acts only by even vertex
-permutations relative to the permutation sign (the sign-isotypic survival
-condition); the projector itself is never evaluated numerically except in
-tests.  Page differentials are out of scope: only dimensions and their
-numerical consequences (vanishing regions, Euler consistency) are computed.
+The orbit scan (``alt_chain_complex``) spans the alternating subcomplex of
+a built M_k, per degree, by one representative of each simplex orbit whose
+setwise stabilizer acts only by even vertex permutations relative to the
+permutation sign (the sign-isotypic survival condition); the projector
+itself is never evaluated numerically except in tests.
+
+The E1 page builds no M_k.  A simplex of M_k over an image simplex I is a
+k-tuple of sections of X over I.  A tuple with a repeated section is fixed
+by the transposition of the repeat, with sign -1, so its orbit dies; one of
+distinct sections has a trivial stabilizer.  Hence
+Alt C_q(M_k) = sum over |I| = q+1 of Lambda^k(Q^{sections over I}), of
+dimension sum_I C(n_I, k) for n_I sections over I: the alternating chain
+complex of the image computing spectral sequence (Goryunov-Mond 1993;
+Houston 1999).  ``_closed_alt_betti`` computes each column in this form
+from the section table; the tests check it against the orbit scan.  In this
+form the zero column p = r is C(n_I, r+1) = 0 and the Euler sum is
+sum_k (-1)^(k-1) C(n_I, k) = 1 for each image simplex, so both checks hold
+at chain level; the homology-level content of the page is the vanishing
+region of ``check_proof_vanishing``.  Page differentials are out of scope:
+only dimensions and their numerical consequences (vanishing regions, Euler
+consistency) are computed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from .core import (DEFAULT_SIMPLEX_GUARD, ComplexError, GuardExceeded,
@@ -22,8 +37,7 @@ from .leray import leray_by_links
 from .multiproj import (DEFAULT_MPC_SIMPLEX_GUARD, DEFAULT_MPC_VERTEX_GUARD,
                         MultiPointComplex, PartitionedComplex,
                         _check_simplex_count, _check_vertex_bound,
-                        _mpc_simplex_count, _section_table,
-                        multiple_point_complex, project)
+                        _mpc_simplex_count, _section_table, project)
 
 
 def perm_sign(p):
@@ -219,6 +233,59 @@ def _refuse_over_guard(px: PartitionedComplex, table, r, vertex_guard,
         _check_orbit_work(size, factorial(k), DEFAULT_ALT_WORK_GUARD)
 
 
+def _section_faces(px: PartitionedComplex, sections) -> dict:
+    """For each image simplex I of at least two parts, and each j in turn:
+    the face F = I minus I[j] and, for each section over I, the position of
+    its restriction to F in ``sections[F]``."""
+    owner = px.part_of()
+    faces = {}
+    for I, secs in sections.items():
+        if len(I) < 2:
+            continue
+        out = []
+        for j, part in enumerate(I):
+            F = I[:j] + I[j + 1:]
+            where = {s: i for i, s in enumerate(sections[F])}
+            out.append((F, tuple(where[tuple(v for v in s if owner[v] != part)]
+                                 for s in secs)))
+        faces[I] = out
+    return faces
+
+
+def _closed_alt_betti(sections, faces, k, top):
+    """Alternating Betti numbers of M_k in degrees 0..top, from the section
+    table alone.
+
+    Alt C_q(M_k) is the sum over image simplices I with |I| = q+1 of
+    Lambda^k(Q^{sections over I}): a basis vector is a k-subset of the
+    sections over I.  Its boundary drops I[j] with sign (-1)^j and
+    restricts each section; the term is 0 when two restrictions coincide
+    and otherwise carries the sign of sorting their positions.
+    """
+    dims = [0] * (top + 1)
+    index = {}              # I -> {k-subset: position in its degree's basis}
+    for I, secs in sections.items():
+        q = len(I) - 1
+        index[I] = {A: i for i, A in enumerate(
+            combinations(range(len(secs)), k), dims[q])}
+        dims[q] += len(index[I])
+    rows = [[] for _ in range(top + 2)]     # rows[q]: boundary of degree q
+    for I, basis in index.items():
+        if len(I) < 2:
+            continue                        # unreduced: vertices are cycles
+        for A in basis:
+            row = {}
+            for j, (F, pos) in enumerate(faces[I]):
+                image = [pos[a] for a in A]
+                sign = _sort_sign(image)
+                if sign:
+                    row[index[F][tuple(sorted(image))]] = \
+                        -sign if j % 2 else sign
+            rows[len(I) - 1].append(row)
+    ranks = [rank_of_rows(m) if m else 0 for m in rows]
+    return tuple(dims[q] - ranks[q] - ranks[q + 1] for q in range(top + 1))
+
+
 def e1_page(px: PartitionedComplex,
             vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
             guard=DEFAULT_MPC_SIMPLEX_GUARD) -> E1Page:
@@ -226,23 +293,25 @@ def e1_page(px: PartitionedComplex,
     must be identically zero.
 
     Guard refusals are decided from the section table before anything is
-    built.  The page is computed once per ``px`` and kept on it; the guards
-    are checked on every call, so a smaller guard still refuses.
+    built, as building M_1..M_{r+1} would decide them.  No multiple-point
+    complex is built: each column comes from the section table by
+    ``_closed_alt_betti``, padded to dim(image)+1 degrees like the
+    alternating homology of a non-void M_k.  The page is computed once per
+    ``px`` and kept on it; the guards are checked on every call, so a
+    smaller guard still refuses.
     """
     sections = _section_table(px)
     r = max(map(len, sections.values()), default=0)
     _refuse_over_guard(px, sections, r, vertex_guard, guard)
     if px._e1_page is None:
+        faces = _section_faces(px, sections)
+        top = max(map(len, sections), default=0) - 1
         table = {}
         for p in range(r):
-            M = multiple_point_complex(px, p + 1, vertex_guard=vertex_guard,
-                                       guard=guard)
-            for q, n in enumerate(alt_betti(M, guard=guard)):
+            for q, n in enumerate(_closed_alt_betti(sections, faces, p + 1,
+                                                    top)):
                 table[(p, q)] = n
-        M_extra = multiple_point_complex(px, r + 1,
-                                         vertex_guard=vertex_guard,
-                                         guard=guard)
-        extra = alt_betti(M_extra, guard=guard)
+        extra = _closed_alt_betti(sections, faces, r + 1, top)
         image = unreduced_betti(project(px))
         # PartitionedComplex is frozen; the page is not part of its value
         object.__setattr__(px, "_e1_page", E1Page(

@@ -8,7 +8,7 @@ from leraytop import (GuardExceeded, alt_betti, alt_chain_complex,
                       double_point_closure, e1_page, make_complex,
                       multiple_point_complex, sym_action, unreduced_betti)
 from leraytop import cli, icss, multiproj
-from leraytop.cli import _lproj_instance
+from leraytop.cli import _hmps_instances, _lproj_instance
 from leraytop.core import ComplexError
 from leraytop.homology import rank_of_rows
 from leraytop.icss import _actions, _sort_sign, perm_sign
@@ -297,8 +297,7 @@ def test_e1_page_refuses_like_building(kind, arg, monkeypatch):
         fresh = PartitionedComplex(px.complex, px.parts)
         calls.clear()
         got = _outcome(e1_page, fresh, guard)
-        if isinstance(got, tuple):
-            assert not calls, guard      # refused before building
+        assert not calls, guard          # page or refusal, nothing built
         assert got == _outcome(e1_page_by_building, px, guard), guard
 
 
@@ -315,22 +314,32 @@ def test_refusing_e1_page_builds_nothing(monkeypatch):
     assert not calls
 
 
+def _page_calls(monkeypatch):
+    """Count the page's closed-form columns, and the multiple-point
+    complexes and orbit scans it must not need."""
+    return (_calls(monkeypatch, icss, "_closed_alt_betti"),
+            _calls(monkeypatch, multiproj, "generalized_mpc"),
+            _calls(monkeypatch, icss, "alt_chain_complex"))
+
+
 def test_checks_share_one_page(monkeypatch):
     px = extremal_example(2, 2)
     r = fiber_bound(px)[0]
-    calls = _calls(monkeypatch, icss, "alt_chain_complex")
+    columns, built, scanned = _page_calls(monkeypatch)
     assert check_euler(px)["holds"] and check_proof_vanishing(px)["holds"]
-    assert len(calls) == r + 1
+    assert len(columns) == r + 1
+    assert not built and not scanned
 
 
 def test_cli_icss_builds_one_page(monkeypatch, tmp_path, capsys):
     px = extremal_example(2, 2)
     f = tmp_path / "px.json"
     f.write_text(partitioned_to_json(px))
-    calls = _calls(monkeypatch, icss, "alt_chain_complex")
+    columns, built, scanned = _page_calls(monkeypatch)
     assert cli.run(["icss", str(f)]) == 0
     assert json.loads(capsys.readouterr().out)["holds"]
-    assert len(calls) == fiber_bound(px)[0] + 1
+    assert len(columns) == fiber_bound(px)[0] + 1
+    assert not built and not scanned
 
 
 def test_stored_page_still_checks_the_guard():
@@ -345,3 +354,78 @@ def test_stored_page_still_checks_the_guard():
     # the stored page is not part of the value
     fresh = PartitionedComplex(px.complex, px.parts)
     assert fresh == px and hash(fresh) == hash(px) and repr(fresh) == repr(px)
+
+
+# -- closed-form columns against the orbit scan ----------------------------
+
+
+def _columns(px, k, guard=20000):
+    """Alternating Betti numbers of M_k by the closed form, and by the
+    orbit scan of the built M_k padded to dim(image)+1 degrees (None when a
+    guard refuses building or scanning M_k)."""
+    sections = _section_table(px)
+    top = max(map(len, sections)) - 1
+    closed = icss._closed_alt_betti(
+        sections, icss._section_faces(px, sections), k, top)
+    try:
+        orbit = alt_betti(multiple_point_complex(px, k, guard=guard),
+                          guard=guard)
+    except GuardExceeded:
+        return closed, None
+    return closed, orbit + (0,) * (top + 1 - len(orbit))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_closed_form_matches_orbit_scan(seed):
+    px = _lproj_instance(seed, 12)
+    refused = []
+    for k in range(1, 5):
+        closed, orbit = _columns(px, k)
+        if orbit is None:
+            refused.append(k)
+        else:
+            assert closed == orbit, k
+    # only M_4 of seeds 14 and 28 exceeds 20000 simplices: 238 pairs
+    assert refused == ([4] if seed in (14, 28) else [])
+
+
+@pytest.mark.parametrize("r,d", [(2, 2), (3, 2), (2, 3)])
+def test_closed_form_matches_orbit_scan_extremal(r, d):
+    px = extremal_example(r, d)
+    assert fiber_bound(px)[0] == r
+    for k in range(1, r + 2):
+        closed, orbit = _columns(px, k)
+        assert closed == orbit, k
+    assert not any(closed)          # the column p = r
+
+
+# (seed, factor, k) whose orbit scan exceeds the work guard
+HMPS_REFUSED = {(37, 0, 6), (37, 0, 7), (37, 1, 6), (37, 2, 6), (37, 2, 7)}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_closed_form_matches_orbit_scan_hmps_factors(seed):
+    for i, px in enumerate(_hmps_instances(seed)):
+        for k in range(1, fiber_bound(px)[0] + 2):
+            closed, orbit = _columns(px, k)
+            if orbit is None:
+                assert (seed, i, k) in HMPS_REFUSED
+            else:
+                assert closed == orbit, (i, k)
+
+
+def test_closed_form_signs_on_double_covers_of_a_triangle():
+    parts = [(0, 1), (2, 3), (4, 5)]
+    # the hexagon covers the triangle connectedly: over the edge {A, C}
+    # the sections (0, 5), (1, 4) restrict to C in reversed order
+    hexagon = make_partitioned(make_complex(
+        [[0, 2], [2, 4], [1, 4], [1, 3], [3, 5], [0, 5]]), parts)
+    trivial = make_partitioned(make_complex(
+        [[0, 2], [2, 4], [0, 4], [1, 3], [3, 5], [1, 5]]), parts)
+    for px, h, alt in ((hexagon, (1, 1), (0, 0)),
+                       (trivial, (2, 2), (1, 1))):
+        assert _columns(px, 2) == (alt, alt)
+        page = e1_page(px)
+        assert page.table == {(0, 0): h[0], (0, 1): h[1],
+                              (1, 0): alt[0], (1, 1): alt[1]}
+        assert page.image_betti == (1, 1) and check_euler(px)["holds"]

@@ -312,3 +312,58 @@ def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     assert cli.run(["homology", str(f)]) == cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: unexpected" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "lproj", "--count", "2", "--guard", "-1"],
+    ["homology", "--guard", "-5"],
+    ["check", "icss", "--guard", "many"],
+], ids=["check", "homology", "not-an-integer"])
+def test_cli_guard_must_be_nonnegative(argv, capsys):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--guard: expected a nonnegative integer" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_check_lproj_file_honours_the_guard(tmp_path, capsys):
+    f = tmp_path / "ex.json"
+    f.write_text(partitioned_to_json(extremal_example(2, 2)))
+    assert cli.run(["check", "lproj", str(f)]) == 0
+    capsys.readouterr()
+    assert cli.run(["check", "lproj", str(f), "--guard", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: simplex enumeration exceeds guard 10\n"
+
+
+@pytest.mark.parametrize("kind,claim", [("lproj", "projection_bound"),
+                                        ("inter", "intersection_bound")])
+def test_cli_check_batch_passes_the_guard(kind, claim, capsys):
+    assert cli.run(["check", kind, "--count", "2", "--guard", "5"]) == 0
+    captured = capsys.readouterr()
+    reports = [json.loads(l) for l in captured.out.splitlines()]
+    assert [(r["claim"], r["skipped"], r["reason"]) for r in reports] == [
+        (claim, True, "simplex enumeration exceeds guard 5")] * 2
+    assert captured.err.strip().endswith(
+        "2 seeded instances of %s: 0 held, 2 skipped (guard), 0 failed"
+        % kind)
+
+
+def test_cli_check_icss_batch_summary(capsys):
+    assert cli.run(["check", "icss", "--seed", "0", "--count", "20"]) == 0
+    captured = capsys.readouterr()
+    reports = [json.loads(l) for l in captured.out.splitlines()]
+    assert all(r["holds"] for r in reports)
+    skipped = {r["instance"]["seed"]: r["reason"] for r in reports
+               if r.get("skipped")}
+    orbit = ("alternating-orbit scan (%d simplices x %d group elements) "
+             "exceeds work guard 2000000")
+    assert skipped == {
+        3: orbit % (37187, 120), 7: orbit % (42932, 120),
+        10: orbit % (70945, 720), 13: orbit % (18736, 720),
+        14: "multiple-point simplex count exceeds guard 200000",
+        15: orbit % (26938, 120)}
+    assert captured.err.strip().endswith(
+        "20 seeded instances of icss: 14 held, 6 skipped (guard), 0 failed")
