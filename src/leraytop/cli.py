@@ -126,28 +126,27 @@ _SKIP_CLAIMS = {"lproj": "projection_bound", "hmps": "mps_vanishing",
 def _run_check_instance(kind, seed, options):
     """One seeded instance of a batch check; returns a list of reports.
     A guard refusal adds a skipped report after any that were made."""
-    max_vertices = options.get("max_vertices", 12)
-    guard = options.get("guard", 20000)
     reports = []
     try:
         if kind == "lproj":
-            px = _lproj_instance(seed, max_vertices)
-            reports.append(check_projection_theorem(px, guard=guard))
+            px = _lproj_instance(seed, options["max_vertices"])
+            reports.append(check_projection_theorem(px, options["guard"]))
         elif kind == "hmps":
-            pxs = _hmps_instances(seed, min(max_vertices, 8))
-            reports.append(check_mps_vanishing(pxs, guard=guard))
+            pxs = _hmps_instances(seed, min(options["max_vertices"], 8))
+            reports.append(check_mps_vanishing(pxs, guard=options["guard"]))
         elif kind == "inter":
             reports.append(check_intersection_bound(
-                _inter_instances(seed, max_vertices), guard=guard))
+                _inter_instances(seed, options["max_vertices"]),
+                guard=options["guard"]))
         elif kind == "hl":
             reports.append(helly_mod.check_hl(_hl_instance(seed)))
         elif kind == "amenta":
-            fr = helly_mod.random_fr_family(options.get("d", 1),
-                                            options.get("groups", 5),
-                                            options.get("r", 2), seed)
+            fr = helly_mod.random_fr_family(options["d"], options["groups"],
+                                            options["r"], seed)
             reports.append(helly_mod.check_amenta(fr))
         elif kind == "icss":
-            px = _lproj_instance(seed, max_vertices)
+            guard = options["guard"]
+            px = _lproj_instance(seed, options["max_vertices"])
             reports.append(icss_mod.check_euler(px, guard=guard))
             reports.append(icss_mod.check_proof_vanishing(px, guard=guard))
             M2 = multiple_point_complex(px, 2, guard=guard)
@@ -356,12 +355,12 @@ def build_parser():
                     "scale.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", nargs="?", default=None,
-                           help="input JSON file ('-' or omitted: stdin)")
-        p.add_argument("--guard", type=_nonnegative_int, default=200000,
-                       help="simplex-count guard (default %(default)s)")
+    def add_common(p, guard=True):
+        p.add_argument("file", nargs="?", default=None,
+                       help="input JSON file ('-' or omitted: stdin)")
+        if guard:
+            p.add_argument("--guard", type=_nonnegative_int, default=200000,
+                           help="simplex-count guard (default %(default)s)")
 
     p = sub.add_parser("homology", help="reduced Betti numbers of a complex")
     add_common(p)
@@ -376,7 +375,7 @@ def build_parser():
     p.set_defaults(func=_cmd_leray)
 
     p = sub.add_parser("project", help="image of a partitioned complex")
-    add_common(p)
+    add_common(p, guard=False)
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("mps", help="Betti numbers of a multiple-point complex")
@@ -389,14 +388,14 @@ def build_parser():
     p.set_defaults(func=_cmd_icss)
 
     p = sub.add_parser("helly", help="Helly number of a box family")
-    add_common(p)
+    add_common(p, guard=False)
     p.add_argument("--cap", type=int, default=20,
                    help="member cap for subfamily enumeration")
     p.set_defaults(func=_cmd_helly)
 
     p = sub.add_parser("amenta", help="the r(d+1) Helly bound on grouped "
                                       "families")
-    add_common(p)
+    add_common(p, guard=False)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--groups", type=int, default=5)
@@ -432,7 +431,14 @@ def build_parser():
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # argparse gives ``check KIND`` its optional file before any option
+        # that follows, so a file after the options comes back unparsed
+        if (len(extra) == 1 and getattr(args, "file", "") is None
+                and (extra[0] == "-" or not extra[0].startswith("-"))):
+            args.file = extra.pop()
+        if extra:
+            parser.error("unrecognized arguments: %s" % " ".join(extra))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

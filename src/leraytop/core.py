@@ -118,6 +118,11 @@ class SimplicialComplex:
                     raise GuardExceeded(
                         "simplex enumeration exceeds guard %d" % guard)
             self._simplex_cache = sorted(seen, key=lambda t: (len(t), t))
+        elif len(self._simplex_cache) > guard:
+            # a stored list refuses as its enumeration would, whichever
+            # guard enumerated the complex first
+            raise GuardExceeded(
+                "simplex enumeration exceeds guard %d" % guard)
         out = self._simplex_cache
         if not include_empty and out and out[0] == ():
             return out[1:]

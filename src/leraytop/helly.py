@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .core import ComplexError, SimplicialComplex, _closed_facets
 from .leray import leray_by_links
-from .multiproj import PartitionedComplex, fiber_bound, make_partitioned, project
+from .multiproj import fiber_bound, make_partitioned, project
 from .rng import CounterRng
 
 
@@ -227,10 +227,12 @@ def _check_cap(names, cap):
         raise FamilyError("family size %d exceeds cap %d" % (len(names), cap))
 
 
-def _minimal_empty(family):
-    """The minimal non-faces of the nerve, as name tuples by size and then
+def minimal_empty_subfamilies(family, cap=20):
+    """Inclusion-minimal subfamilies with empty intersection (the minimal
+    non-faces of the nerve), as name tuples by size and then
     lexicographically.  Each is a face (the empty one included) extended by
     one larger index, whose other codimension-1 faces are faces too."""
+    _check_cap(family.names, cap)
     # the empty subfamily counts as intersecting even when the nerve is void
     faces = family._nonempty() | {()}
     out = []
@@ -244,31 +246,18 @@ def _minimal_empty(family):
     return [tuple(family.names[i] for i in c) for c in out]
 
 
-def minimal_empty_subfamilies(family, cap=20):
-    """Inclusion-minimal subfamilies with empty intersection (the minimal
-    non-faces of the nerve)."""
-    _check_cap(family.names, cap)
-    return _minimal_empty(family)
-
-
-def _helly_report(family, nv) -> HellyReport:
-    """``helly_number`` given the nerve ``nv`` of ``family``."""
-    minimal = _minimal_empty(family)
+def helly_number(family, cap=20) -> HellyReport:
+    """The Helly number: the largest minimal empty-intersection subfamily
+    (or 1 if all intersections are nonempty), plus the nerve-Leray bound."""
+    minimal = minimal_empty_subfamilies(family, cap)
     if minimal:
         witness = max(minimal, key=len)
         h = max(1, len(witness))
     else:
         witness = ()
         h = 1
-    nl = leray_by_links(nv).value
+    nl = leray_by_links(nerve(family)).value
     return HellyReport(h, witness, nl, 1 + nl)
-
-
-def helly_number(family, cap=20) -> HellyReport:
-    """The Helly number: the largest minimal empty-intersection subfamily
-    (or 1 if all intersections are nonempty), plus the nerve-Leray bound."""
-    _check_cap(family.names, cap)
-    return _helly_report(family, nerve(family))
 
 
 def helly_number_direct(family, cap=12) -> int:
@@ -397,9 +386,10 @@ def make_fr_family(base: BoxFamily, grouping, r) -> FrFamily:
     return fam
 
 
-def _pieces_projection(fr: FrFamily, ng):
-    """``pieces_projection`` given the nerve ``ng`` of ``fr``; also returns
-    the image of the projection."""
+def pieces_projection(fr: FrFamily):
+    """The nerve of all pieces, partitioned by group, with its projection
+    report: the image must equal the nerve of the grouped family and the
+    fiber bound must be at most r."""
     piece_order = [p for _, pieces in fr.groups for p in pieces]
     piece_family = BoxFamily(fr.dimension,
                              {p: fr.base.members[p] for p in piece_order})
@@ -409,10 +399,14 @@ def _pieces_projection(fr: FrFamily, ng):
     for _, pieces in fr.groups:
         parts.append(tuple(pos[p] for p in pieces))
     px = make_partitioned(X, parts)
-    image = project(px)
-    matches = image.facets == ng.facets and image.vertex_count == ng.vertex_count
+    # part i is group i, so both complexes are on the group indices: the
+    # image is the nerve when the part sets of the simplices of X are the
+    # nonempty subfamilies of groups
+    owner = px.part_of()
+    matches = fr._nonempty() == {tuple(sorted(owner[v] for v in s))
+                                 for s in piece_family._nonempty()}
     r_val, witness = fiber_bound(px)
-    return px, image, {
+    return px, {
         "claim": "pieces_projection",
         "image_matches_nerve": matches,
         "fiber_bound": r_val,
@@ -422,25 +416,15 @@ def _pieces_projection(fr: FrFamily, ng):
     }
 
 
-def pieces_projection(fr: FrFamily):
-    """The nerve of all pieces, partitioned by group, with its projection
-    report: the image must equal the nerve of the grouped family and the
-    fiber bound must be at most r."""
-    px, _, report = _pieces_projection(fr, nerve(fr))
-    return px, report
-
-
 def check_amenta(fr: FrFamily, cap=20):
     """Verify h(G) <= r(d+1) and the full chain of inequalities
     h(G) <= 1 + L(image) <= 1 + r L(X) + r - 1 <= r(d+1)."""
-    _check_cap(fr.names, cap)
-    ng = nerve(fr)
-    report = _helly_report(fr, ng)
-    px, image, proj_report = _pieces_projection(fr, ng)
+    report = helly_number(fr, cap)
+    px, proj_report = pieces_projection(fr)
     lx = leray_by_links(px.complex).value
     # an image equal to the nerve has the nerve's Leray number
     l_image = (report.nerve_leray if proj_report["image_matches_nerve"]
-               else leray_by_links(image).value)
+               else leray_by_links(project(px)).value)
     r, d = fr.r, fr.dimension
     h = report.helly_number
     chain = (

@@ -30,14 +30,13 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import factorial
 
-from .core import (DEFAULT_SIMPLEX_GUARD, ComplexError, GuardExceeded,
-                   SimplicialComplex, _maximal)
+from .core import ComplexError, GuardExceeded, SimplicialComplex, _maximal
 from .homology import euler_characteristic, rank_of_rows, unreduced_betti
 from .leray import leray_by_links
-from .multiproj import (DEFAULT_MPC_SIMPLEX_GUARD, DEFAULT_MPC_VERTEX_GUARD,
-                        MultiPointComplex, PartitionedComplex,
-                        _check_simplex_count, _check_vertex_bound,
-                        _mpc_simplex_count, _section_table, project)
+from .multiproj import (DEFAULT_MPC_SIMPLEX_GUARD, MultiPointComplex,
+                        PartitionedComplex, _check_simplex_count,
+                        _check_vertex_bound, _mpc_simplex_count,
+                        _section_table, project)
 
 
 def perm_sign(p):
@@ -116,24 +115,23 @@ def _actions(M: MultiPointComplex):
 DEFAULT_ALT_WORK_GUARD = 2_000_000
 
 
-def _check_orbit_work(simplex_count, group_order, work_guard):
+def _check_orbit_work(simplex_count, group_order):
     """Refuse an orbit scan of every simplex under every group element
-    that would exceed the work guard."""
-    if group_order * simplex_count > work_guard:
+    that would exceed DEFAULT_ALT_WORK_GUARD, read at call time."""
+    if group_order * simplex_count > DEFAULT_ALT_WORK_GUARD:
         raise GuardExceeded(
             "alternating-orbit scan (%d simplices x %d group elements) "
             "exceeds work guard %d"
-            % (simplex_count, group_order, work_guard))
+            % (simplex_count, group_order, DEFAULT_ALT_WORK_GUARD))
 
 
 def alt_chain_complex(M: MultiPointComplex,
-                      guard=DEFAULT_MPC_SIMPLEX_GUARD,
-                      work_guard=DEFAULT_ALT_WORK_GUARD) -> AltChainComplex:
+                      guard=DEFAULT_MPC_SIMPLEX_GUARD) -> AltChainComplex:
     """Orbit-representative basis of the alternating chains and the
     restriction of the boundary to it."""
     actions = _actions(M)
     simplices = M.complex.all_simplices(guard=guard)
-    _check_orbit_work(len(simplices), len(actions), work_guard)
+    _check_orbit_work(len(simplices), len(actions))
     by_deg = {}
     for s in simplices:
         by_deg.setdefault(len(s) - 1, []).append(s)
@@ -212,8 +210,7 @@ class E1Page:
         return sum((-1) ** (p + q) * n for (p, q), n in self.table.items())
 
 
-def _refuse_over_guard(px: PartitionedComplex, table, r, vertex_guard,
-                       guard):
+def _refuse_over_guard(px: PartitionedComplex, table, r, guard):
     """Raise the GuardExceeded that building M_1..M_{r+1} and their
     alternating chains would raise first, without building any of them.
 
@@ -222,7 +219,7 @@ def _refuse_over_guard(px: PartitionedComplex, table, r, vertex_guard,
     empty simplex) and ``alt_chain_complex`` would check it, in that order.
     """
     for k in range(1, r + 2):
-        _check_vertex_bound(px.parts, k, vertex_guard)
+        _check_vertex_bound(px.parts, k)
         size = _mpc_simplex_count([table] * k)
         _check_simplex_count(size, guard)
         if not size:
@@ -230,7 +227,7 @@ def _refuse_over_guard(px: PartitionedComplex, table, r, vertex_guard,
         if size + 1 > guard:
             raise GuardExceeded(
                 "simplex enumeration exceeds guard %d" % guard)
-        _check_orbit_work(size, factorial(k), DEFAULT_ALT_WORK_GUARD)
+        _check_orbit_work(size, factorial(k))
 
 
 def _section_faces(px: PartitionedComplex, sections) -> dict:
@@ -287,7 +284,6 @@ def _closed_alt_betti(sections, faces, k, top):
 
 
 def e1_page(px: PartitionedComplex,
-            vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
             guard=DEFAULT_MPC_SIMPLEX_GUARD) -> E1Page:
     """Compute the page columns p = 0..r-1, plus the column at p = r which
     must be identically zero.
@@ -302,7 +298,7 @@ def e1_page(px: PartitionedComplex,
     """
     sections = _section_table(px)
     r = max(map(len, sections.values()), default=0)
-    _refuse_over_guard(px, sections, r, vertex_guard, guard)
+    _refuse_over_guard(px, sections, r, guard)
     if px._e1_page is None:
         faces = _section_faces(px, sections)
         top = max(map(len, sections), default=0) - 1
@@ -353,11 +349,9 @@ def check_alt_chain_iso(M: MultiPointComplex, guard=DEFAULT_MPC_SIMPLEX_GUARD):
     }
 
 
-def check_euler(px: PartitionedComplex,
-                vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
-                guard=DEFAULT_MPC_SIMPLEX_GUARD):
+def check_euler(px: PartitionedComplex, guard=DEFAULT_MPC_SIMPLEX_GUARD):
     """Euler characteristic of the image equals the signed page sum."""
-    page = e1_page(px, vertex_guard=vertex_guard, guard=guard)
+    page = e1_page(px, guard=guard)
     chi = euler_characteristic(project(px))
     return {
         "claim": "e1_euler_consistency",
@@ -369,14 +363,12 @@ def check_euler(px: PartitionedComplex,
 
 
 def check_proof_vanishing(px: PartitionedComplex,
-                          vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
-                          guard=DEFAULT_MPC_SIMPLEX_GUARD,
-                          leray_guard=DEFAULT_SIMPLEX_GUARD):
+                          guard=DEFAULT_MPC_SIMPLEX_GUARD):
     """The page vanishes on the region p <= r-1, p+q >= r*L(X)+r-1 (for a
     complex with positive Leray number; with L(X) = 0 the degree-0 entries
     are exempt)."""
-    lx = leray_by_links(px.complex, guard=leray_guard).value
-    page = e1_page(px, vertex_guard=vertex_guard, guard=guard)
+    lx = leray_by_links(px.complex, guard=guard).value
+    page = e1_page(px, guard=guard)
     r = page.r
     threshold = r * lx + r - 1
     bad = []

@@ -104,11 +104,12 @@ def _mpc_simplex_count(tables) -> int:
     return sum(prod(len(t.get(I, ())) for t in tables) for I in tables[0])
 
 
-def _check_vertex_bound(parts, k, vertex_guard):
-    """Refuse a k-fold multiple-point complex with too many vertices."""
-    if sum(len(p) ** k for p in parts) > vertex_guard:
-        raise GuardExceeded(
-            "multiple-point vertex bound exceeds guard %d" % vertex_guard)
+def _check_vertex_bound(parts, k):
+    """Refuse a k-fold multiple-point complex with more vertices than
+    DEFAULT_MPC_VERTEX_GUARD, read at call time."""
+    if sum(len(p) ** k for p in parts) > DEFAULT_MPC_VERTEX_GUARD:
+        raise GuardExceeded("multiple-point vertex bound exceeds guard %d"
+                            % DEFAULT_MPC_VERTEX_GUARD)
 
 
 def _check_simplex_count(count, guard):
@@ -166,7 +167,7 @@ class MultiPointComplex:
                 enumerate(zip(self.part_of_vertex, self.tuples))}
 
 
-def generalized_mpc(pxs, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
+def generalized_mpc(pxs,
                     guard=DEFAULT_MPC_SIMPLEX_GUARD) -> MultiPointComplex:
     """The multiple-point complex of factors sharing one part structure."""
     if not pxs:
@@ -176,7 +177,7 @@ def generalized_mpc(pxs, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
         if px.parts != parts:
             raise ComplexError("factors have mismatched part structures")
     k = len(pxs)
-    _check_vertex_bound(parts, k, vertex_guard)
+    _check_vertex_bound(parts, k)
     tables = [_section_table(px) for px in pxs]
     _check_simplex_count(_mpc_simplex_count(tables), guard)
     owner = pxs[0].part_of()
@@ -202,12 +203,11 @@ def generalized_mpc(pxs, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
 
 
 def multiple_point_complex(px: PartitionedComplex, k,
-                           vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
                            guard=DEFAULT_MPC_SIMPLEX_GUARD):
     """M_k: the k-fold multiple-point complex of a single complex."""
     if k < 1:
         raise ComplexError("k must be at least 1")
-    return generalized_mpc([px] * k, vertex_guard=vertex_guard, guard=guard)
+    return generalized_mpc([px] * k, guard=guard)
 
 
 # -- checkers ------------------------------------------------------------
@@ -232,12 +232,11 @@ def check_projection_theorem(px: PartitionedComplex,
     }
 
 
-def check_mps_vanishing(pxs, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
-                        guard=DEFAULT_MPC_SIMPLEX_GUARD):
+def check_mps_vanishing(pxs, guard=DEFAULT_MPC_SIMPLEX_GUARD):
     """Verify that the multiple-point complex of the factors has vanishing
     reduced homology from the sum of the factor Leray numbers on."""
-    total = sum(leray_by_links(px.complex).value for px in pxs)
-    M = generalized_mpc(pxs, vertex_guard=vertex_guard, guard=guard)
+    total = sum(leray_by_links(px.complex, guard=guard).value for px in pxs)
+    M = generalized_mpc(pxs, guard=guard)
     rb = reduced_betti(M.complex, guard=guard)
     bad = [j for j, b in enumerate(rb.reduced) if j >= total and b != 0]
     return {

@@ -13,8 +13,7 @@ from leraytop.helly import (FamilyError, FrFamily, FrValidationError,
                             box_meet, boxes_disjoint)
 from leraytop.homology import unreduced_betti
 from leraytop.icss import E1Page, alt_betti
-from leraytop.multiproj import (DEFAULT_MPC_SIMPLEX_GUARD,
-                                DEFAULT_MPC_VERTEX_GUARD, MultiPointComplex,
+from leraytop.multiproj import (DEFAULT_MPC_SIMPLEX_GUARD, MultiPointComplex,
                                 _check_simplex_count, _check_vertex_bound,
                                 fiber_bound, multiple_point_complex)
 
@@ -171,8 +170,7 @@ def _sections(X: SimplicialComplex, part_vertex_lists):
     return out
 
 
-def mpc_by_sections(pxs, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
-                    guard=DEFAULT_MPC_SIMPLEX_GUARD) -> MultiPointComplex:
+def mpc_by_sections(pxs, guard=DEFAULT_MPC_SIMPLEX_GUARD) -> MultiPointComplex:
     """``generalized_mpc`` over the image simplices common to every
     factor's projection, each factor's sections found by extending choices
     one part at a time and testing each with ``contains``, and the simplex
@@ -184,7 +182,7 @@ def mpc_by_sections(pxs, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
         if px.parts != parts:
             raise ComplexError("factors have mismatched part structures")
     k = len(pxs)
-    _check_vertex_bound(parts, k, vertex_guard)
+    _check_vertex_bound(parts, k)
     images = [project(px) for px in pxs]
     common = [s for s in images[0].all_simplices()
               if all(img.contains(s) for img in images[1:])]
@@ -226,19 +224,16 @@ def fiber_bound_by_sections(px):
     return best, witness
 
 
-def e1_page_by_building(px, vertex_guard=DEFAULT_MPC_VERTEX_GUARD,
-                        guard=DEFAULT_MPC_SIMPLEX_GUARD):
+def e1_page_by_building(px, guard=DEFAULT_MPC_SIMPLEX_GUARD):
     """The E1 page with no up-front refusal and no stored page: build
     M_1..M_{r+1} in turn and let the first guard that fires refuse."""
     r, _ = fiber_bound(px)
     table = {}
     for p in range(r):
-        M = multiple_point_complex(px, p + 1, vertex_guard=vertex_guard,
-                                   guard=guard)
+        M = multiple_point_complex(px, p + 1, guard=guard)
         for q, n in enumerate(alt_betti(M, guard=guard)):
             table[(p, q)] = n
-    M_extra = multiple_point_complex(px, r + 1, vertex_guard=vertex_guard,
-                                     guard=guard)
+    M_extra = multiple_point_complex(px, r + 1, guard=guard)
     extra = alt_betti(M_extra, guard=guard)
     image = unreduced_betti(project(px))
     return E1Page(r, table, image, all(n == 0 for n in extra))

@@ -1,10 +1,10 @@
 import pytest
 
-from leraytop import (ComplexError, boundary_complex, clique_complex,
-                      empty_complex, induced, intersection, is_chordal,
-                      is_isomorphism, join, link, make_complex, reduced_betti,
-                      solid_simplex, subdivision, union, upper_interval,
-                      void_complex)
+from leraytop import (ComplexError, GuardExceeded, boundary_complex,
+                      clique_complex, empty_complex, induced, intersection,
+                      is_chordal, is_isomorphism, join, link, make_complex,
+                      reduced_betti, solid_simplex, subdivision, union,
+                      upper_interval, void_complex)
 from leraytop.core import _closed_facets, _maximal, as_simplex
 from leraytop.multiproj import random_complex
 
@@ -37,6 +37,16 @@ def test_make_complex_errors():
 def test_void_vs_empty_distinct():
     assert void_complex() != empty_complex()
     assert empty_complex().is_empty() and not empty_complex().is_void()
+
+
+def test_stored_simplex_list_still_checks_the_guard():
+    # 8 simplices with the empty one; the first call stores the list
+    X = solid_simplex(range(3))
+    assert len(X.all_simplices(include_empty=True)) == 8
+    assert len(X.all_simplices(guard=8)) == 7
+    with pytest.raises(GuardExceeded,
+                       match="^simplex enumeration exceeds guard 7$"):
+        X.all_simplices(guard=7)
 
 
 def test_induced_examples():

@@ -388,8 +388,8 @@ def test_check_amenta_builds_each_complex_once(monkeypatch):
     rep = check_amenta(fr)
     assert rep["projection"]["image_matches_nerve"]
     # the nerve of the groups and the nerve of the pieces; the image is the
-    # nerve, so only the nerve and X need a Leray scan
-    assert calls == {"nerve": 2, "project": 1, "leray_by_links": 2}
+    # nerve, so it is never built and only the nerve and X need a Leray scan
+    assert calls == {"nerve": 2, "leray_by_links": 2}
     calls.clear()
     helly_number(fr)
     assert calls == {"nerve": 1, "leray_by_links": 1}

@@ -241,11 +241,12 @@ def test_check_proof_vanishing():
     assert rep["holds"]
 
 
-def test_work_guard():
+def test_work_guard(monkeypatch):
     px = random_partitioned_complex(3, [2, 2, 2], 2, 1.0, 0)
     M = multiple_point_complex(px, 2)
+    monkeypatch.setattr(icss, "DEFAULT_ALT_WORK_GUARD", 3)
     with pytest.raises(GuardExceeded):
-        alt_chain_complex(M, work_guard=3)
+        alt_chain_complex(M)
 
 
 # -- up-front refusal and one page per input ------------------------------
@@ -342,14 +343,27 @@ def test_cli_icss_builds_one_page(monkeypatch, tmp_path, capsys):
     assert not built and not scanned
 
 
-def test_stored_page_still_checks_the_guard():
+def test_check_proof_vanishing_leray_scan_honours_the_guard(monkeypatch):
+    assert len(extremal_example(2, 2).complex.all_simplices()) > 10
+    px = extremal_example(2, 2)
+    built = _calls(monkeypatch, multiproj, "generalized_mpc")
+    paged = _calls(monkeypatch, icss, "e1_page")
+    with pytest.raises(GuardExceeded,
+                       match="^simplex enumeration exceeds guard 10$"):
+        check_proof_vanishing(px, guard=10)
+    assert not built and not paged
+
+
+def test_stored_page_still_checks_the_guard(monkeypatch):
     px = extremal_example(2, 2)
     page = e1_page(px)
     assert e1_page(px) is page
     with pytest.raises(GuardExceeded):
         e1_page(px, guard=50)
-    with pytest.raises(GuardExceeded):
-        e1_page(px, vertex_guard=3)
+    with monkeypatch.context() as m:
+        m.setattr(multiproj, "DEFAULT_MPC_VERTEX_GUARD", 3)
+        with pytest.raises(GuardExceeded):
+            e1_page(px)
     assert e1_page(px) is page
     # the stored page is not part of the value
     fresh = PartitionedComplex(px.complex, px.parts)

@@ -338,6 +338,35 @@ def test_cli_check_lproj_file_honours_the_guard(tmp_path, capsys):
     assert captured.err == "error: simplex enumeration exceeds guard 10\n"
 
 
+def test_cli_check_file_may_follow_the_options(tmp_path, capsys):
+    f = tmp_path / "ex.json"
+    f.write_text(partitioned_to_json(extremal_example(2, 2)))
+    assert cli.run(["check", "lproj", str(f), "--guard", "100000"]) == 0
+    after = capsys.readouterr()
+    assert cli.run(["check", "lproj", "--guard", "100000", str(f)]) == 0
+    assert capsys.readouterr() == after
+    assert cli.run(["check", "lproj", "--guard", "10", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        "error: simplex enumeration exceeds guard 10\n")
+    assert cli.run(["check", "lproj", "--guard", "10", str(f), "x"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: unrecognized arguments: %s x\n" % f)
+
+
+@pytest.mark.parametrize("command", ["project", "helly", "amenta"])
+def test_cli_guard_is_not_an_option_of(command, tmp_path):
+    f = tmp_path / "in.json"
+    f.write_text(partitioned_to_json(extremal_example(2, 2))
+                 if command == "project" else
+                 family_to_json(1, {"a": [make_box([(0, 1)])]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "leraytop.cli", command, "--guard", "5",
+         str(f)], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: leraytop")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("kind,claim", [("lproj", "projection_bound"),
                                         ("inter", "intersection_bound")])
 def test_cli_check_batch_passes_the_guard(kind, claim, capsys):

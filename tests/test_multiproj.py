@@ -201,6 +201,18 @@ def test_check_mps_examples():
     assert check_mps_vanishing(pair)["holds"]
 
 
+def test_check_mps_leray_scan_honours_the_guard(monkeypatch):
+    assert len(extremal_example(2, 2).complex.all_simplices()) > 10
+    px = extremal_example(2, 2)
+    calls = []
+    monkeypatch.setattr(multiproj, "generalized_mpc",
+                        lambda *a, **k: calls.append(1))
+    with pytest.raises(GuardExceeded,
+                       match="^simplex enumeration exceeds guard 10$"):
+        check_mps_vanishing([px, px], guard=10)
+    assert not calls
+
+
 def test_check_intersection_examples():
     X = random_complex(5, 2, 0.6, 13)
     assert check_intersection_bound([X, X])["holds"]
@@ -247,10 +259,12 @@ def test_random_generator():
     assert c.complex != a.complex
 
 
-def test_mpc_guards():
+def test_mpc_guards(monkeypatch):
     px = random_partitioned_complex(2, [4, 4], 1, 1.0, 0)
-    with pytest.raises(GuardExceeded):
-        multiple_point_complex(px, 3, vertex_guard=10)
+    with monkeypatch.context() as m:
+        m.setattr(multiproj, "DEFAULT_MPC_VERTEX_GUARD", 10)
+        with pytest.raises(GuardExceeded):
+            multiple_point_complex(px, 3)
     with pytest.raises(GuardExceeded):
         multiple_point_complex(px, 3, guard=5)
 
