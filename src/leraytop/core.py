@@ -35,15 +35,28 @@ def as_simplex(vertices) -> tuple:
 
 
 def _maximal(simplices) -> frozenset:
-    """Inclusion-maximal elements of a collection of simplices."""
-    by_size = sorted(set(simplices), key=lambda t: (-len(t), t))
+    """Inclusion-maximal elements of a collection of simplices.
+
+    Candidates come by decreasing size, so a candidate is absorbed exactly
+    when some facet kept before it contains it.  ``kept[v]`` has bit j set
+    when the j-th kept facet contains v, so that is the case exactly when
+    the AND of its vertices' masks is nonzero; the empty simplex is absorbed
+    by any kept facet.
+    """
+    kept = {}
     out = []
-    out_sets = []
-    for s in by_size:
-        ss = set(s)
-        if not any(ss <= o for o in out_sets):
-            out.append(s)
-            out_sets.append(ss)
+    for s in sorted(set(simplices), key=len, reverse=True):
+        common = -1 if out else 0
+        for v in s:
+            common &= kept.get(v, 0)
+            if not common:
+                break
+        if common:
+            continue
+        bit = 1 << len(out)
+        for v in s:
+            kept[v] = kept.get(v, 0) | bit
+        out.append(s)
     return frozenset(out)
 
 
@@ -227,15 +240,18 @@ def induced(X, S):
 def link(X, A):
     """lk(X, A): simplices disjoint from A whose union with A lies in X."""
     A = as_simplex(A)
-    if not X.contains(A):
-        raise ComplexError("simplex %r not in complex" % (A,))
     if not A:
+        if X.is_void():
+            raise ComplexError("simplex %r not in complex" % (A,))
         return X
     # f - A for the facets f containing A are pairwise incomparable
-    # (f - A <= g - A would give f <= g), so they are the link's facets.
+    # (f - A <= g - A would give f <= g), so they are the link's facets;
+    # A lies in X exactly when there is one.
     aset = set(A)
     facets = [tuple([v for v in f if v not in aset])
               for f in X.facets if aset.issubset(f)]
+    if not facets:
+        raise ComplexError("simplex %r not in complex" % (A,))
     return SimplicialComplex(X.vertex_count, facets, labels=X.labels)
 
 

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .core import ComplexError, SimplicialComplex, _closed_facets
 from .leray import leray_by_links
-from .multiproj import fiber_bound, make_partitioned, project
+from .multiproj import fiber_bound, make_partitioned
 from .rng import CounterRng
 
 
@@ -401,7 +401,10 @@ def pieces_projection(fr: FrFamily):
     px = make_partitioned(X, parts)
     # part i is group i, so both complexes are on the group indices: the
     # image is the nerve when the part sets of the simplices of X are the
-    # nonempty subfamilies of groups
+    # nonempty subfamilies of groups.  That always holds (a simplex of X
+    # holds at most one piece per group, since a group's pieces are
+    # disjoint, and groups meet iff some choice of one piece each does),
+    # so the comparison re-checks an identity.
     owner = px.part_of()
     matches = fr._nonempty() == {tuple(sorted(owner[v] for v in s))
                                  for s in piece_family._nonempty()}
@@ -422,9 +425,9 @@ def check_amenta(fr: FrFamily, cap=20):
     report = helly_number(fr, cap)
     px, proj_report = pieces_projection(fr)
     lx = leray_by_links(px.complex).value
-    # an image equal to the nerve has the nerve's Leray number
-    l_image = (report.nerve_leray if proj_report["image_matches_nerve"]
-               else leray_by_links(project(px)).value)
+    # the image is the nerve (see pieces_projection), so it has the nerve's
+    # Leray number
+    l_image = report.nerve_leray
     r, d = fr.r, fr.dimension
     h = report.helly_number
     chain = (

@@ -86,27 +86,69 @@ def rank_of_rows(rows) -> int:
     return len(pivots)
 
 
+def rank_mod2(masks) -> int:
+    """Rank over GF(2) of a 0/1 matrix given as one int bitmask per row.
+
+    XOR elimination: pivot rows are kept by their highest set bit, and a row
+    is reduced by the pivot at its highest bit until it has none or
+    vanishes.
+    """
+    pivots = {}
+    for x in masks:
+        while x:
+            top = x.bit_length() - 1
+            p = pivots.get(top)
+            if p is None:
+                pivots[top] = x
+                break
+            x ^= p
+    return len(pivots)
+
+
+def _chain_bases(X: SimplicialComplex, guard):
+    """The simplices of X by degree, from one guarded enumeration: bases[q]
+    in lexicographic order (q = -1 is the empty simplex), and index[q]
+    mapping each q-simplex to its position."""
+    bases = {}
+    for s in X.all_simplices(include_empty=True, guard=guard):
+        bases.setdefault(len(s) - 1, []).append(s)
+    bases = {q: tuple(v) for q, v in bases.items()}
+    index = {q: {s: i for i, s in enumerate(v)} for q, v in bases.items()}
+    return bases, index
+
+
+def _boundary_rows(bases, index, q):
+    """The boundary from degree q >= 0 to q-1 as sparse rows, one per
+    (q-1)-simplex, with the sorted-orientation sign convention."""
+    rows = [dict() for _ in bases[q - 1]]
+    ix = index[q - 1]
+    for j, s in enumerate(bases[q]):
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1:]
+            rows[ix[face]][j] = -1 if i % 2 else 1
+    return rows
+
+
+def _boundary_masks(bases, index, q):
+    """The boundary from degree q >= 0 to q-1 over GF(2), transposed: one
+    bitmask per q-simplex with the bits of its (q-1)-faces."""
+    ix = index[q - 1]
+    out = []
+    for s in bases[q]:
+        m = 0
+        for i in range(len(s)):
+            m |= 1 << ix[s[:i] + s[i + 1:]]
+        out.append(m)
+    return out
+
+
 def boundary_matrices(X: SimplicialComplex,
                       guard=DEFAULT_SIMPLEX_GUARD) -> ChainBoundary:
     """Boundary matrices of X with the sorted-orientation sign convention,
     augmented with the all-ones map to the empty simplex."""
-    simplices = X.all_simplices(include_empty=True, guard=guard)
-    bases = {}
-    for s in simplices:
-        bases.setdefault(len(s) - 1, []).append(s)
-    bases = {q: tuple(v) for q, v in bases.items()}
-    index = {q: {s: i for i, s in enumerate(v)} for q, v in bases.items()}
-    matrices = {}
-    for q in sorted(bases):
-        if q < 0:
-            continue
-        rows = [dict() for _ in bases[q - 1]]
-        ix = index[q - 1]
-        for j, s in enumerate(bases[q]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                rows[ix[face]][j] = -1 if i % 2 else 1
-        matrices[q] = rows
+    bases, index = _chain_bases(X, guard)
+    matrices = {q: _boundary_rows(bases, index, q)
+                for q in sorted(bases) if q >= 0}
     return ChainBoundary(bases, matrices)
 
 
@@ -127,6 +169,54 @@ def reduced_betti(X: SimplicialComplex,
     minus_one = 1 - ranks.get(0, 0)
     euler = sum((-1) ** q * cb.dim_chain(q) for q in range(d + 1))
     return BettiVector(reduced, minus_one, euler)
+
+
+def top_nonzero_degree(X: SimplicialComplex, above=-1,
+                       guard=DEFAULT_SIMPLEX_GUARD):
+    """The largest q > above with a nonzero reduced rational Betti number
+    of X, or None; the answer of ``reduced_betti`` with only the degrees
+    needed decided.
+
+    Degrees are tried from d = dim X downwards, each decided by the first
+    of three certificates that applies:
+
+    * mod-2 zero: by universal coefficients beta_q(Q) <= beta_q(F_2), so a
+      GF(2) Betti number of 0 proves beta_q(Q) = 0;
+    * Euler bound, at q = d only: the reduced Euler characteristic is
+      sum_q (-1)^q beta_q over every field, so beta_d(Q) >=
+      (-1)^d chi - sum of beta_q(F_2) over q < d with d - q even, and a
+      positive bound proves beta_d(Q) > 0;
+    * otherwise exact ranks by ``rank_of_rows``, each computed at most once.
+    """
+    if X.is_void() or X.dim <= above:
+        return None
+    d = X.dim
+    bases, index = _chain_bases(X, guard)
+    mod2 = {d + 1: 0}
+    exact = {d + 1: 0}
+
+    def betti(q, ranks, rank):
+        for p in (q, q + 1):
+            if p not in ranks:
+                ranks[p] = rank(p)
+        return len(bases[q]) - ranks[q] - ranks[q + 1]
+
+    def betti_mod2(q):
+        return betti(q, mod2, lambda p: rank_mod2(
+            _boundary_masks(bases, index, p)))
+
+    for q in range(d, above, -1):
+        if not betti_mod2(q):
+            continue
+        if q == d:
+            chi = sum((-1) ** p * len(bases[p]) for p in range(-1, d + 1))
+            if (-1) ** d * chi > sum(betti_mod2(p)
+                                     for p in range(d - 2, -1, -2)):
+                return d
+        if betti(q, exact, lambda p: rank_of_rows(
+                _boundary_rows(bases, index, p))):
+            return q
+    return None
 
 
 def unreduced_betti(X: SimplicialComplex, guard=DEFAULT_SIMPLEX_GUARD):

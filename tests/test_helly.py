@@ -6,7 +6,7 @@ import pytest
 from leraytop import (AtomFamily, Box, BoxFamily, FrFamily, UnionFamily,
                       check_amenta, check_hl, helly_number,
                       helly_number_direct, leray_number, make_box,
-                      make_fr_family, nerve, pieces_projection,
+                      make_fr_family, nerve, pieces_projection, project,
                       random_fr_family)
 from leraytop import helly as helly_mod
 from leraytop.core import _closed_facets, _maximal
@@ -173,6 +173,16 @@ def test_pieces_projection_examples():
     fr = make_fr_family(base, [("G1", ("F1a", "F1b")), ("G2", ("F2a",))], 2)
     px, rep = pieces_projection(fr)
     assert rep["holds"] and rep["fiber_bound"] == 2
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_pieces_projection_image_is_the_group_nerve(r):
+    # the image of the pieces nerve, built by project, is the nerve of the
+    # grouped family: the identity check_amenta relies on for L(image)
+    for seed in range(60):
+        fr = random_fr_family(1 + seed % 2, 4, r, seed)
+        px, _ = pieces_projection(fr)
+        assert project(px) == nerve(fr), (r, seed)
 
 
 def test_check_amenta_examples():
@@ -382,7 +392,7 @@ def _count_calls(monkeypatch, module, name, calls):
 
 def test_check_amenta_builds_each_complex_once(monkeypatch):
     calls = {}
-    for name in ("nerve", "project", "leray_by_links"):
+    for name in ("nerve", "leray_by_links"):
         _count_calls(monkeypatch, helly_mod, name, calls)
     fr = random_fr_family(1, 4, 2, 3)
     rep = check_amenta(fr)

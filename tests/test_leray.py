@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from leraytop import homology, io_json
 from leraytop import leray as leray_mod
 from leraytop import (boundary_complex, check_chordal_characterization,
                       clique_complex, induced, intersection,
@@ -151,3 +154,63 @@ def test_links_scan_stops_after_one_link_at_dim_plus_one(X, monkeypatch):
     monkeypatch.setattr(leray_mod, "link", counting_link)
     assert leray_by_links(X).value == X.dim + 1
     assert calls == [()]
+
+
+def test_lproj_scan_certifies_without_exact_ranks(monkeypatch):
+    # the 40 complexes the lproj benchmark's default seed scans (X and
+    # pi(X) of 20 instances): each X (14 vertices) goes to
+    # top_nonzero_degree, whose mod-2 and Euler certificates leave at most
+    # two exact ranks; each pi(X) (7 vertices) gets its full reduced_betti
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    texts = workloads.Lproj().generate(0)
+    ranks, bettis, links = [], [], []
+    in_betti = []
+
+    def counted(fn, log):
+        def inner(*args, **kwargs):
+            log.append(args[0])
+            return fn(*args, **kwargs)
+        return inner
+
+    def exact(X, guard):
+        bettis.append(X)
+        in_betti.append(True)
+        try:
+            return reduced_betti(X, guard=guard)
+        finally:
+            in_betti.pop()
+
+    def rank(rows):
+        if not in_betti:
+            ranks.append(rows)
+        return rank_of_rows(rows)
+
+    rank_of_rows = homology.rank_of_rows
+    reduced_betti = leray_mod.reduced_betti
+    monkeypatch.setattr(homology, "rank_of_rows", rank)
+    monkeypatch.setattr(leray_mod, "reduced_betti", exact)
+    monkeypatch.setattr(leray_mod, "link", counted(link, links))
+    images = []
+    for text in texts:
+        px = io_json.partitioned_from_json(text)
+        images.append(project(px))
+        for X in (px.complex, images[-1]):
+            leray_by_links(X)
+    assert len(links) == 40
+    assert len(ranks) <= 2
+    assert bettis == images
+
+
+def test_certified_branch_matches_unpruned_scan(monkeypatch):
+    # every link through top_nonzero_degree, none through reduced_betti
+    monkeypatch.setattr(leray_mod, "_EXACT_LINK_VERTICES", -1)
+    monkeypatch.setattr(leray_mod, "reduced_betti", None)
+    corpus = [make_complex(facets, allow_void=False) if facets != ((),)
+              else make_complex([()], allow_void=True)
+              for facets in enumerate_complexes(4)]
+    corpus += [random_complex(8, 3, 0.5, seed) for seed in range(12)]
+    for X in corpus:
+        cert = leray_by_links(X)
+        assert (cert.value, cert.witness) == leray_links_unpruned(X), X
