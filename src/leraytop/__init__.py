@@ -9,7 +9,7 @@ from .core import (ComplexError, GuardExceeded, OrderComplex,
                    SimplicialComplex, boundary_complex, clique_complex,
                    empty_complex, induced, intersection, is_chordal,
                    is_isomorphism, join, link, make_complex, solid_simplex,
-                   subdivision, union, upper_interval, void_complex)
+                   subdivision, union, void_complex)
 from .homology import (BettiVector, ChainBoundary, boundary_matrices,
                        euler_characteristic, reduced_betti, unreduced_betti)
 from .leray import (LerayCertificate, check_chordal_characterization,

@@ -5,17 +5,16 @@ summary goes to standard error.  Exit codes: 0 all claims hold, 1 a checked
 inequality failed (an implementation bug, never expected), 2 usage or
 format error, or a guard refusing a single input, 3 internal oracle
 disagreement, 4 unexpected internal error (traceback on standard error).
-A batch run (``--count``) counts a refused instance as skipped instead.
+A batch run (``--count``) checks its seeds in order, in this one process,
+and counts a refused instance as skipped instead.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import helly as helly_mod
@@ -123,30 +122,28 @@ _SKIP_CLAIMS = {"lproj": "projection_bound", "hmps": "mps_vanishing",
                 "inter": "intersection_bound", "icss": "e1_consistency"}
 
 
-def _run_check_instance(kind, seed, options):
+def _run_check_instance(kind, seed, args):
     """One seeded instance of a batch check; returns a list of reports.
     A guard refusal adds a skipped report after any that were made."""
     reports = []
     try:
         if kind == "lproj":
-            px = _lproj_instance(seed, options["max_vertices"])
-            reports.append(check_projection_theorem(px, options["guard"]))
+            px = _lproj_instance(seed, args.max_vertices)
+            reports.append(check_projection_theorem(px, args.guard))
         elif kind == "hmps":
-            pxs = _hmps_instances(seed, min(options["max_vertices"], 8))
-            reports.append(check_mps_vanishing(pxs, guard=options["guard"]))
+            pxs = _hmps_instances(seed, min(args.max_vertices, 8))
+            reports.append(check_mps_vanishing(pxs, guard=args.guard))
         elif kind == "inter":
             reports.append(check_intersection_bound(
-                _inter_instances(seed, options["max_vertices"]),
-                guard=options["guard"]))
+                _inter_instances(seed, args.max_vertices), guard=args.guard))
         elif kind == "hl":
             reports.append(helly_mod.check_hl(_hl_instance(seed)))
         elif kind == "amenta":
-            fr = helly_mod.random_fr_family(options["d"], options["groups"],
-                                            options["r"], seed)
+            fr = helly_mod.random_fr_family(args.d, args.groups, args.r, seed)
             reports.append(helly_mod.check_amenta(fr))
         elif kind == "icss":
-            guard = options["guard"]
-            px = _lproj_instance(seed, options["max_vertices"])
+            guard = args.guard
+            px = _lproj_instance(seed, args.max_vertices)
             reports.append(icss_mod.check_euler(px, guard=guard))
             reports.append(icss_mod.check_proof_vanishing(px, guard=guard))
             M2 = multiple_point_complex(px, 2, guard=guard)
@@ -161,22 +158,13 @@ def _run_check_instance(kind, seed, options):
     return reports
 
 
-def _batch_worker(args):
-    kind, seed, options = args
-    return seed, _run_check_instance(kind, seed, options)
-
-
-def _run_batch(kind, seeds, options, workers):
-    """Emit every report; returns the instance counts by outcome: "held",
-    "skipped" (a guard refused it) and "failed"."""
-    jobs = [(kind, seed, options) for seed in seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_worker, jobs))
-    else:
-        results = [_batch_worker(j) for j in jobs]
+def _run_batch(kind, args):
+    """Check seeds ``args.seed`` to ``args.seed + args.count - 1`` in order,
+    emitting every report, then summarize the instances by outcome: held,
+    skipped (a guard refused it) and failed.  Returns the exit code."""
     counts = {"held": 0, "skipped": 0, "failed": 0}
-    for _, reports in sorted(results, key=lambda t: t[0]):
+    for seed in range(args.seed, args.seed + args.count):
+        reports = _run_check_instance(kind, seed, args)
         for rep in reports:
             _emit(rep)
         if not all(rep.get("holds", False) for rep in reports):
@@ -185,7 +173,10 @@ def _run_batch(kind, seeds, options, workers):
             counts["skipped"] += 1
         else:
             counts["held"] += 1
-    return counts
+    print("checked %d seeded instances of %s: %d held, %d skipped (guard), "
+          "%d failed" % (args.count, kind, counts["held"], counts["skipped"],
+                         counts["failed"]), file=sys.stderr)
+    return EXIT_CLAIM_FAILED if counts["failed"] else EXIT_OK
 
 
 # -- subcommands ----------------------------------------------------------
@@ -269,11 +260,7 @@ def _cmd_helly(args):
 
 def _cmd_amenta(args):
     if args.count is not None:
-        seeds = range(args.seed, args.seed + args.count)
-        counts = _run_batch("amenta", seeds,
-                            {"d": args.d, "r": args.r, "groups": args.groups},
-                            args.workers)
-        return EXIT_CLAIM_FAILED if counts["failed"] else EXIT_OK
+        return _run_batch("amenta", args)
     d, members = io_json.family_from_json(_read_text(args.file))
     pieces = {}
     grouping = []
@@ -298,16 +285,8 @@ def _cmd_example(args):
 
 
 def _cmd_check(args):
-    options = {"max_vertices": args.max_vertices, "guard": args.guard,
-               "d": args.d, "r": args.r, "groups": args.groups}
     if args.count is not None:
-        seeds = range(args.seed, args.seed + args.count)
-        counts = _run_batch(args.kind, seeds, options, args.workers)
-        print("checked %d seeded instances of %s: %d held, %d skipped "
-              "(guard), %d failed" % (args.count, args.kind, counts["held"],
-                                      counts["skipped"], counts["failed"]),
-              file=sys.stderr)
-        return EXIT_CLAIM_FAILED if counts["failed"] else EXIT_OK
+        return _run_batch(args.kind, args)
     # single instance from a file or stdin
     text = _read_text(args.file)
     if args.kind == "lproj":
@@ -340,10 +319,18 @@ def _cmd_check(args):
 
 
 def _nonnegative_int(text):
-    """argparse type of a guard: a nonnegative integer."""
+    """argparse type of a guard or a count: a nonnegative integer."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             "expected a nonnegative integer, got %r" % text)
+    return int(text)
+
+
+def _positive_int(text):
+    """argparse type of a batch size (``--r``, ``--d``, ``--groups``)."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
     return int(text)
 
 
@@ -361,6 +348,13 @@ def build_parser():
         if guard:
             p.add_argument("--guard", type=_nonnegative_int, default=200000,
                            help="simplex-count guard (default %(default)s)")
+
+    def add_batch(p):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--count", type=_nonnegative_int, default=None)
+        p.add_argument("--r", type=_positive_int, default=2)
+        p.add_argument("--d", type=_positive_int, default=1)
+        p.add_argument("--groups", type=_positive_int, default=5)
 
     p = sub.add_parser("homology", help="reduced Betti numbers of a complex")
     add_common(p)
@@ -396,27 +390,15 @@ def build_parser():
     p = sub.add_parser("amenta", help="the r(d+1) Helly bound on grouped "
                                       "families")
     add_common(p, guard=False)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--groups", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("LERAYTOP_WORKERS", "1")))
+    add_batch(p)
     p.set_defaults(func=_cmd_amenta)
 
     p = sub.add_parser("check", help="batch verification of an inequality")
     p.add_argument("kind", choices=["lproj", "hmps", "inter", "hl", "icss",
                                     "amenta"])
     add_common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=None)
+    add_batch(p)
     p.add_argument("--max-vertices", type=int, default=12)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--groups", type=int, default=5)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("LERAYTOP_WORKERS", "1")))
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("example", help="emit the tight projection-bound "

@@ -85,15 +85,13 @@ class SimplicialComplex:
     """
 
     __slots__ = ("vertex_count", "facets", "labels", "parent_map",
-                 "_facet_sets", "_simplex_cache")
+                 "_simplex_cache")
 
     def __init__(self, vertex_count, facets, labels=None, parent_map=None):
         self.vertex_count = int(vertex_count)
         self.facets = frozenset(tuple(f) for f in facets)
         self.labels = tuple(labels) if labels is not None else None
         self.parent_map = tuple(parent_map) if parent_map is not None else None
-        self._facet_sets = [set(f) for f in
-                            sorted(self.facets, key=lambda t: (-len(t), t))]
         self._simplex_cache = None
 
     # -- basic queries -------------------------------------------------
@@ -116,7 +114,7 @@ class SimplicialComplex:
         s = set(simplex)
         if not s:
             return not self.is_void()
-        return any(s <= fs for fs in self._facet_sets)
+        return any(s.issubset(f) for f in self.facets)
 
     def all_simplices(self, include_empty=False, guard=DEFAULT_SIMPLEX_GUARD):
         """Every simplex, sorted by (dimension, lex).  Guarded enumeration."""
@@ -300,17 +298,14 @@ def intersection(X1, X2):
     return SimplicialComplex(X1.vertex_count, _maximal(cands))
 
 
-def _saturated_chains(top, sigma, stop_size):
-    """Saturated chains (ascending lists) from size stop_size up to top,
-    removing only vertices outside sigma."""
-    if len(top) == stop_size:
+def _saturated_chains(top):
+    """Saturated chains (ascending lists) from a vertex up to top."""
+    if len(top) == 1:
         return [[top]]
     out = []
     for v in top:
-        if v in sigma:
-            continue
         sub = tuple(x for x in top if x != v)
-        for c in _saturated_chains(sub, sigma, stop_size):
+        for c in _saturated_chains(sub):
             out.append(c + [top])
     return out
 
@@ -332,29 +327,8 @@ def subdivision(K, guard=DEFAULT_SIMPLEX_GUARD):
     chains = []
     for f in K.facets:
         if f:
-            chains.extend(_saturated_chains(f, (), 1))
+            chains.extend(_saturated_chains(f))
     return _order_complex(elements, chains)
-
-
-def upper_interval(K, sigma, guard=DEFAULT_SIMPLEX_GUARD):
-    """Order complexes of the intervals [sigma, .] and (sigma, .] in K."""
-    sigma = as_simplex(sigma)
-    if not K.contains(sigma):
-        raise ComplexError("simplex %r not in complex" % (sigma,))
-    sset = set(sigma)
-    tops = [f for f in K.facets if sset <= set(f)]
-    elements = [t for t in K.all_simplices(include_empty=True, guard=guard)
-                if sset <= set(t) and (t or not sigma)]
-    closed_chains = []
-    strict_chains = []
-    for f in tops:
-        closed_chains.extend(_saturated_chains(f, sset, len(sigma)))
-        if len(f) > len(sigma):
-            strict_chains.extend(_saturated_chains(f, sset, len(sigma) + 1))
-    closed = _order_complex(elements, closed_chains)
-    strict = _order_complex([e for e in elements if len(e) > len(sigma)],
-                            strict_chains)
-    return closed, strict
 
 
 # -- graphs ------------------------------------------------------------

@@ -232,18 +232,19 @@ def minimal_empty_subfamilies(family, cap=20):
     non-faces of the nerve), as name tuples by size and then
     lexicographically.  Each is a face (the empty one included) extended by
     one larger index, whose other codimension-1 faces are faces too."""
-    _check_cap(family.names, cap)
+    names = family.names
+    _check_cap(names, cap)
     # the empty subfamily counts as intersecting even when the nerve is void
     faces = family._nonempty() | {()}
     out = []
     for s in faces:
-        for j in range(s[-1] + 1 if s else 0, len(family.names)):
+        for j in range(s[-1] + 1 if s else 0, len(names)):
             cand = s + (j,)
             if cand not in faces and all(cand[:i] + cand[i + 1:] in faces
                                          for i in range(len(s))):
                 out.append(cand)
     out.sort(key=lambda c: (len(c), c))
-    return [tuple(family.names[i] for i in c) for c in out]
+    return [tuple(names[i] for i in c) for c in out]
 
 
 def helly_number(family, cap=20) -> HellyReport:

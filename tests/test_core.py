@@ -1,10 +1,12 @@
+from itertools import combinations
+
 import pytest
 
 from leraytop import (ComplexError, GuardExceeded, boundary_complex,
                       clique_complex, empty_complex, induced, intersection,
                       is_chordal, is_isomorphism, join, link, make_complex,
                       reduced_betti, solid_simplex, subdivision, union,
-                      upper_interval, void_complex)
+                      void_complex)
 from leraytop.core import _closed_facets, _maximal, as_simplex
 from leraytop.multiproj import random_complex
 from leraytop.rng import CounterRng
@@ -162,46 +164,27 @@ def test_subdivision_examples():
     assert point.facets == frozenset({(0,)})
     with pytest.raises(ComplexError):
         subdivision(void_complex())
+    # subdivision keeps the homology of a complex and of each nonempty link
+    for seed in (0, 1, 2, 3, 10, 11, 12, 13):
+        K = random_complex(6, 3, 0.6, seed)
+        for sigma in [()] + K.all_simplices():
+            lk = link(K, sigma)
+            if not lk.is_empty():
+                assert (reduced_betti(subdivision(lk)).reduced
+                        == reduced_betti(lk).reduced), (seed, sigma)
 
 
-def test_upper_interval_examples():
-    solid = solid_simplex([0, 1, 2])
-    D, Dd = upper_interval(solid, [0])
-    assert D.vertex_count == 4 and Dd.vertex_count == 3
-    assert set(D.labels) == {(0,), (0, 1), (0, 2), (0, 1, 2)}
-    # top simplex: D a point, strict part void
-    D, Dd = upper_interval(solid, [0, 1, 2])
-    assert D.f_vector() == (1,) and Dd.is_void()
-    D, Dd = upper_interval(solid, [0, 1])
-    assert D.f_vector() == (2, 1) and Dd.f_vector() == (1,)
-    with pytest.raises(ComplexError):
-        upper_interval(solid, [0, 3])
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_strict_interval_is_subdivided_link(seed):
-    K = random_complex(6, 3, 0.6, seed)
-    for sigma in K.all_simplices():
-        _, Dd = upper_interval(K, sigma)
-        lk = link(K, sigma)
-        if lk.is_empty():
-            assert Dd.is_void()
-            continue
-        sd = subdivision(lk)
-        # explicit isomorphism tau -> tau minus sigma, expressed on labels
-        sset = set(sigma)
-        sd_index = {lab: i for i, lab in enumerate(sd.labels)}
-        vmap = {i: sd_index[tuple(v for v in lab if v not in sset)]
-                for i, lab in enumerate(Dd.labels)}
-        assert is_isomorphism(Dd, sd, vmap)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_closed_interval_acyclic(seed):
-    K = random_complex(6, 3, 0.6, seed + 10)
-    for sigma in K.all_simplices():
-        D, _ = upper_interval(K, sigma)
-        assert all(b == 0 for b in reduced_betti(D).reduced)
+def test_contains_matches_the_simplex_list():
+    complexes = [make_complex(facets, vertex_count=5)
+                 for facets in enumerate_complexes(5)]
+    complexes += [void_complex(5), empty_complex(5)]
+    subsets = [c for q in range(6) for c in combinations(range(5), q)]
+    for X in complexes:
+        simplices = set(X.all_simplices(include_empty=True))
+        for s in subsets:
+            # s is sorted and s[::-1] is not
+            expected = s in simplices
+            assert X.contains(s) == X.contains(s[::-1]) == expected, (X, s)
 
 
 def test_clique_complex_examples():

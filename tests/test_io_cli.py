@@ -136,8 +136,11 @@ def test_cli_check_batches_hold(capsys):
 def test_cli_amenta_batch(capsys):
     assert cli.run(["amenta", "--r", "2", "--d", "1", "--groups", "4",
                     "--seed", "0", "--count", "3"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
     assert len(lines) == 3 and all(json.loads(l)["holds"] for l in lines)
+    assert captured.err == ("checked 3 seeded instances of amenta: 3 held, "
+                            "0 skipped (guard), 0 failed\n")
 
 
 def _strip_timing(lines):
@@ -159,15 +162,36 @@ def test_cli_determinism(capsys):
     assert _strip_timing(first) == _strip_timing(second)
 
 
-def test_cli_workers_match_serial():
-    cmd = [sys.executable, "-m", "leraytop.cli", "check", "lproj",
-           "--seed", "3", "--count", "4"]
-    serial = subprocess.run(cmd + ["--workers", "1"], capture_output=True,
-                            text=True, env=child_env())
-    parallel = subprocess.run(cmd + ["--workers", "2"], capture_output=True,
-                              text=True, env=child_env())
-    assert serial.returncode == parallel.returncode == 0
-    assert serial.stdout == parallel.stdout
+def test_cli_batch_runs_in_one_process():
+    code = ("import sys\n"
+            "from leraytop import cli\n"
+            "rc = cli.run(['check', 'lproj', '--count', '1'])\n"
+            "print(rc, [m for m in sys.modules\n"
+            "           if m.split('.')[0] in ('concurrent', "
+            "'multiprocessing')])\n")
+    # LERAYTOP_WORKERS is not read, so a value that is no number is harmless
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(child_env(),
+                                              LERAYTOP_WORKERS="two"))
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "lproj", "--count", "-3"],
+    ["amenta", "--r", "0", "--count", "1"],
+    ["check", "amenta", "--r", "-1", "--count", "1"],
+    ["amenta", "--d", "0", "--count", "1"],
+    ["check", "amenta", "--groups", "0", "--count", "1"],
+    ["amenta", "--count", "many"],
+    ["check", "lproj", "--count", "2", "--workers", "2"],
+], ids=["count", "amenta-r", "check-r", "d", "groups", "not-an-integer",
+        "workers"])
+def test_cli_bad_batch_numbers_are_usage_errors(argv, capsys):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: leraytop")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_shell_pipe_end_to_end():
