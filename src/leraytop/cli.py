@@ -70,9 +70,14 @@ def _read_text(path):
 # -- seeded instances -----------------------------------------------------
 
 
+# the most parts a seeded instance draws (_lproj_instance; _hmps_instances
+# draws at most 3), so the least --max-vertices that leaves no part empty
+_MAX_PARTS = 4
+
+
 def _lproj_instance(seed, max_vertices=12):
     rng = CounterRng(seed)
-    m = 2 + rng.randint(3)
+    m = 2 + rng.randint(_MAX_PARTS - 1)
     sizes = [1 + rng.randint(3) for _ in range(m)]
     while sum(sizes) > max_vertices:
         sizes[sizes.index(max(sizes))] -= 1
@@ -334,6 +339,17 @@ def _positive_int(text):
     return int(text)
 
 
+def _max_vertices(text):
+    """argparse type of ``--max-vertices``: room for one vertex in each of
+    the parts a seeded instance may draw."""
+    n = _nonnegative_int(text)
+    if n < _MAX_PARTS:
+        raise argparse.ArgumentTypeError(
+            "expected at least %d (one vertex per part), got %r"
+            % (_MAX_PARTS, text))
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="leraytop",
@@ -398,7 +414,7 @@ def build_parser():
                                     "amenta"])
     add_common(p)
     add_batch(p)
-    p.add_argument("--max-vertices", type=int, default=12)
+    p.add_argument("--max-vertices", type=_max_vertices, default=12)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("example", help="emit the tight projection-bound "

@@ -253,6 +253,60 @@ def link(X, A):
     return SimplicialComplex(X.vertex_count, facets, labels=X.labels)
 
 
+def _bits(simplex) -> int:
+    """The bitmask of a vertex set: bit v set for each vertex v."""
+    out = 0
+    for v in simplex:
+        out |= 1 << v
+    return out
+
+
+def _strong_core(X):
+    """X with dominated vertices deleted until none is left.
+
+    A vertex v is dominated when some w != v lies in every facet that
+    contains v: then lk(v) is a cone with apex w, and deleting v (a strong
+    collapse) keeps the homotopy type (Barmak-Minian, "Strong homotopy
+    types, nerves and collapses", Discrete Comput. Geom. 2012), so the
+    reduced homology too.  The core is a subcomplex, so it has at most as
+    many simplices as X.  With facets as bitmasks, v is dominated exactly
+    when the AND of the facets containing v is more than v's bit.  After
+    deleting v the facets without v stay, and each f - v is a facet
+    unless one of those contains it (the f - v are pairwise incomparable).
+    Returns X itself when no vertex is dominated.
+    """
+    facets = [_bits(f) for f in X.facets]
+    used = 0
+    for f in facets:
+        used |= f
+    vertices = [v for v in range(used.bit_length()) if used >> v & 1]
+    n = len(vertices)
+    while True:
+        kept = []
+        for v in vertices:
+            bit = 1 << v
+            common = -1
+            for f in facets:
+                if f & bit:
+                    common &= f
+                    if common == bit:
+                        break
+            if common == bit:
+                kept.append(v)
+                continue
+            rest = [f for f in facets if not f & bit]
+            facets = rest + [g for g in (f ^ bit for f in facets if f & bit)
+                             if not any(g & h == g for h in rest)]
+        if len(kept) == len(vertices):
+            break
+        vertices = kept
+    if len(vertices) == n:
+        return X
+    return SimplicialComplex(
+        X.vertex_count, [tuple(v for v in vertices if f >> v & 1)
+                         for f in facets], labels=X.labels)
+
+
 def join(X1, X2):
     """Join of two complexes; the vertex tables are concatenated."""
     n1 = X1.vertex_count

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (DEFAULT_SIMPLEX_GUARD, ComplexError, SimplicialComplex,
-                   clique_complex, induced, is_chordal, link)
+                   _bits, _strong_core, clique_complex, induced, is_chordal,
+                   link)
 from .homology import reduced_betti, top_nonzero_degree
 
 DEFAULT_DEFINITION_CAP = 18
 
-# links on at most this many vertices (at most 2^8 simplices) get their
-# full exact Betti vector in the links scan
+# link cores on at most this many vertices (at most 2^8 simplices) get
+# their full exact Betti vector in the links scan
 _EXACT_LINK_VERTICES = 8
 
 
@@ -77,26 +78,63 @@ def leray_by_links(X: SimplicialComplex,
     """L(X) by scanning the links of all simplices (including the empty
     one); polynomial in the number of simplices.
 
-    Pruned but exact: reduced homology of lk(sigma) vanishes above its
-    dimension, which is at most dim X - |sigma|.  Simplices come by size,
-    so the scan stops once dim X - |sigma| <= best and skips links of
-    dimension <= best; neither can improve on best, so the witness is
-    still the first strict improvement in scan order.  A link on more
-    than eight vertices is asked only for its largest nonzero degree above
-    best (``homology.top_nonzero_degree``).  A smaller one, of at most 2^8
-    simplices, gets its full ``reduced_betti``: perfbench's tracer test
-    and its ``leray.cone_skip_ratio`` read the reduced_betti calls made
-    under this scan.
+    Pruned but exact; every skip below is of a link with no reduced
+    homology in degrees above best, so the witness is still the first
+    strict improvement in scan order.
+
+    * Reduced homology of lk(sigma) vanishes above its dimension, which is
+      at most dim X - |sigma|.  Simplices come by size, so the scan stops
+      once dim X - |sigma| <= best.
+    * A cone is contractible.  The apexes of lk(sigma) are the bits of the
+      AND of its facets' bitmasks, and apexes are inherited: lk(tau) =
+      lk(lk(tau - v), v), each of whose facets still contains every apex
+      a != v of lk(tau - v).  So the scan keeps the apex masks of the
+      cone links of the current size and the one before, and skips tau
+      when some mask(tau - v) & ~bit(v) is nonzero.  Otherwise the mask
+      is the AND of X's facets that contain tau (the facets of lk(tau),
+      each with tau added) with tau's bits cleared; no cone link is
+      built.
+    * Any other link, and lk(()) = X, is replaced by its strong-collapse
+      core (``core._strong_core``), which has the same homotopy type
+      (Barmak-Minian 2012).  It is skipped when its dimension is <= best
+      or it has one facet: a one-facet core is a point (a cone collapses
+      to its apex, so X needs no apex test) or the empty complex.
+
+    A core on more than eight vertices is asked only for its largest
+    nonzero degree above best (``homology.top_nonzero_degree``); a smaller
+    one, of at most 2^8 simplices, gets its full ``reduced_betti``.  The
+    witness is ("link", sigma), re-checked by ``check_witness`` on the full
+    link.  ``leray_by_definition`` tests cones by ``_is_cone`` and takes
+    no core, so the oracle does not share this path.
     """
     best = -1
     witness = None
     if not X.is_void():
         dim_x = X.dim
+        facets = None
+        size, before, apexes = 0, {}, {}
         for sigma in X.all_simplices(include_empty=True, guard=guard):
             if dim_x - len(sigma) <= best:
                 break
-            lk = link(X, sigma)
-            if lk.dim <= best or _is_cone(lk):
+            if len(sigma) > size:
+                size, before, apexes = len(sigma), apexes, {}
+            apex = 0
+            for i, v in enumerate(sigma):
+                apex |= before.get(sigma[:i] + sigma[i + 1:], 0) & ~(1 << v)
+            if sigma and not apex:
+                if facets is None:
+                    facets = [_bits(f) for f in X.facets]
+                s = _bits(sigma)
+                apex = -1
+                for f in facets:
+                    if f & s == s:
+                        apex &= f
+                apex &= ~s
+            if apex:
+                apexes[sigma] = apex
+                continue
+            lk = _strong_core(link(X, sigma))
+            if lk.dim <= best or len(lk.facets) == 1:
                 continue
             if len(lk.used_vertices()) <= _EXACT_LINK_VERTICES:
                 top = reduced_betti(lk, guard=guard).max_nonzero_degree()

@@ -7,7 +7,7 @@ from leraytop import (ComplexError, GuardExceeded, boundary_complex,
                       is_chordal, is_isomorphism, join, link, make_complex,
                       reduced_betti, solid_simplex, subdivision, union,
                       void_complex)
-from leraytop.core import _closed_facets, _maximal, as_simplex
+from leraytop.core import _closed_facets, _maximal, _strong_core, as_simplex
 from leraytop.multiproj import random_complex
 from leraytop.rng import CounterRng
 
@@ -107,6 +107,38 @@ def test_link_of_cone_point():
     cone = join(solid_simplex([0]), X)
     assert link(cone, [0]).facets == frozenset(
         tuple(v + 1 for v in f) for f in X.facets)
+
+
+def test_strong_core_examples():
+    ht = hollow_triangle()
+    # no vertex of a cycle is dominated, so the complex comes back as is
+    assert _strong_core(ht) is ht
+    assert _strong_core(solid_simplex(range(4))).facets == {(3,)}
+    assert _strong_core(make_complex([[0, 1], [0, 2]])).facets == {(0,)}
+    whisker = make_complex([[0, 1], [1, 2], [0, 2], [2, 3]])
+    assert _strong_core(whisker).facets == ht.facets
+    assert _strong_core(make_complex([[0], [1]])).facets == {(0,), (1,)}
+    for X in (empty_complex(2), void_complex(2)):
+        assert _strong_core(X) is X
+
+
+def test_strong_core_on_every_small_complex():
+    # the core is the induced subcomplex on the vertices it keeps, no
+    # vertex of it is dominated, and it has the reduced homology of X
+    for facets in enumerate_complexes(5):
+        X = make_complex(facets, allow_void=True)
+        core = _strong_core(X)
+        kept = core.used_vertices()
+        assert core.facets == _maximal(
+            tuple(v for v in f if v in kept) for f in X.facets), facets
+        for v in kept:
+            star = [set(f) for f in core.facets if v in f]
+            assert set.intersection(*star) == {v}, (facets, v)
+        if kept == X.used_vertices():
+            assert core is X
+        b, c = reduced_betti(X), reduced_betti(core)
+        assert ([b.degree(q) for q in range(-1, 5)]
+                == [c.degree(q) for q in range(-1, 5)]), facets
 
 
 def test_join_examples():

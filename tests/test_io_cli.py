@@ -184,8 +184,13 @@ def test_cli_batch_runs_in_one_process():
     ["check", "amenta", "--groups", "0", "--count", "1"],
     ["amenta", "--count", "many"],
     ["check", "lproj", "--count", "2", "--workers", "2"],
+    ["check", "lproj", "--count", "1", "--max-vertices", "1"],
+    ["check", "hmps", "--count", "1", "--max-vertices", "1"],
+    ["check", "lproj", "--seed", "1", "--count", "3", "--max-vertices", "3"],
+    ["check", "inter", "--count", "1", "--max-vertices", "-4"],
 ], ids=["count", "amenta-r", "check-r", "d", "groups", "not-an-integer",
-        "workers"])
+        "workers", "max-vertices-1", "hmps-max-vertices-1", "max-vertices-3",
+        "max-vertices-negative"])
 def test_cli_bad_batch_numbers_are_usage_errors(argv, capsys):
     assert cli.run(argv) == 2
     captured = capsys.readouterr()

@@ -7,7 +7,8 @@ from leraytop import leray as leray_mod
 from leraytop import (boundary_complex, check_chordal_characterization,
                       clique_complex, induced, intersection,
                       leray_by_definition, leray_by_links, leray_number,
-                      link, make_complex, project, solid_simplex)
+                      link, make_complex, nerve, pieces_projection, project,
+                      random_fr_family, solid_simplex)
 from leraytop.core import ComplexError
 from leraytop.leray import check_witness
 from leraytop.multiproj import (extremal_example, random_complex,
@@ -125,11 +126,46 @@ def test_witness_recheck_rejects_tampering():
 
 
 def test_links_match_unpruned_scan_exhaustive():
-    for facets in enumerate_complexes(4):
-        X = make_complex(facets, allow_void=False) if facets != ((),) \
-            else make_complex([()], allow_void=True)
+    # every complex on up to 5 vertices (7580): inherited apexes and
+    # strong-collapse cores skip no link the unpruned scan needs
+    for facets in enumerate_complexes(5):
+        X = make_complex(facets, allow_void=True)
         cert = leray_by_links(X)
         assert (cert.value, cert.witness) == leray_links_unpruned(X), facets
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_links_match_unpruned_scan_on_fr_families(d):
+    # the nerves and pieces complexes check_amenta scans
+    for seed in range(12):
+        fr = random_fr_family(d, 5, 2, seed + 10 * d)
+        for X in (nerve(fr), pieces_projection(fr)[0].complex):
+            cert = leray_by_links(X)
+            assert (cert.value, cert.witness) == leray_links_unpruned(X), \
+                (d, seed, X)
+
+
+@pytest.mark.parametrize("start", range(0, 200, 50))
+def test_links_match_unpruned_scan_on_clique_complexes(start):
+    # clique complexes of G(10, 0.6): many cone links, and links whose
+    # strong-collapse core is a point or a few points
+    for seed in range(start, start + 50):
+        rng = CounterRng(seed + 6000)
+        edges = [(a, b) for a in range(10) for b in range(a)
+                 if rng.uniform() < 0.6]
+        X = clique_complex(edges, n=10)
+        cert = leray_by_links(X)
+        assert (cert.value, cert.witness) == leray_links_unpruned(X), seed
+        assert leray_by_definition(X).value == cert.value, seed
+
+
+def test_cone_apex_is_not_inherited_by_its_own_link():
+    # lk(0) and lk(3) are cones with apexes 3 and 0, but lk(03) is two
+    # points: an apex passes from lk(sigma) to lk(sigma + v) only for v
+    # other than the apex
+    X = make_complex([[0, 1, 3], [0, 2, 3]])
+    cert = leray_by_links(X)
+    assert (cert.value, cert.witness) == (1, (("link", (0, 3)), 0))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -201,6 +237,35 @@ def test_lproj_scan_certifies_without_exact_ranks(monkeypatch):
     assert len(links) == 40
     assert len(ranks) <= 2
     assert bettis == images
+
+
+def test_helly_amenta_scan_builds_few_links(monkeypatch):
+    # the 70 complexes the helly-amenta benchmark's default seed scans (a
+    # nerve and a pieces complex per instance): most links are cones whose
+    # apex is inherited or read off the facet bitmasks, and the rest are
+    # asked about their strong-collapse cores
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    from leraytop import helly
+    wl = workloads.HellyAmenta()
+    scans, links, ranks = [], [], []
+
+    def counted(fn, log):
+        def inner(*args, **kwargs):
+            log.append(args[0])
+            return fn(*args, **kwargs)
+        return inner
+
+    monkeypatch.setattr(helly, "leray_by_links", counted(leray_by_links, scans))
+    monkeypatch.setattr(leray_mod, "link", counted(link, links))
+    monkeypatch.setattr(homology, "rank_of_rows",
+                        counted(homology.rank_of_rows, ranks))
+    for text in wl.generate(0):
+        wl.run(text)
+    assert len(scans) == 70
+    assert len(links) <= 712
+    assert len(ranks) <= 119
 
 
 def test_certified_branch_matches_unpruned_scan(monkeypatch):
