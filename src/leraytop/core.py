@@ -261,21 +261,40 @@ def _bits(simplex) -> int:
     return out
 
 
-def _strong_core(X):
-    """X with dominated vertices deleted until none is left.
+def _meet(facets, s):
+    """The AND of the bitmasks in ``facets`` that contain the bitmask s,
+    or -1 if none does.  Every such bitmask contains s, so the AND does
+    too, and the loop stops once it equals s.
+
+    For the facets of X, the AND of those containing a simplex sigma is
+    sigma plus the apexes of lk(sigma): the vertices in every facet of
+    the link.  lk(sigma) is a cone when there is one.
+    """
+    common = -1
+    for f in facets:
+        if f & s == s:
+            common &= f
+            if common == s:
+                break
+    return common
+
+
+def _strong_core(X, facets=None):
+    """X with dominated vertices deleted until none is left; ``facets``
+    are X's facet bitmasks, when the caller has them.
 
     A vertex v is dominated when some w != v lies in every facet that
-    contains v: then lk(v) is a cone with apex w, and deleting v (a strong
-    collapse) keeps the homotopy type (Barmak-Minian, "Strong homotopy
-    types, nerves and collapses", Discrete Comput. Geom. 2012), so the
-    reduced homology too.  The core is a subcomplex, so it has at most as
-    many simplices as X.  With facets as bitmasks, v is dominated exactly
-    when the AND of the facets containing v is more than v's bit.  After
+    contains v, i.e. when lk(v) is a cone (``_meet`` of v's bit is more
+    than the bit).  Deleting v is a strong collapse and keeps the homotopy
+    type (Barmak-Minian, "Strong homotopy types, nerves and collapses",
+    Discrete Comput. Geom. 2012), so the reduced homology too.  The core
+    is a subcomplex, so it has at most as many simplices as X.  After
     deleting v the facets without v stay, and each f - v is a facet
     unless one of those contains it (the f - v are pairwise incomparable).
     Returns X itself when no vertex is dominated.
     """
-    facets = [_bits(f) for f in X.facets]
+    if facets is None:
+        facets = [_bits(f) for f in X.facets]
     used = 0
     for f in facets:
         used |= f
@@ -285,13 +304,7 @@ def _strong_core(X):
         kept = []
         for v in vertices:
             bit = 1 << v
-            common = -1
-            for f in facets:
-                if f & bit:
-                    common &= f
-                    if common == bit:
-                        break
-            if common == bit:
+            if _meet(facets, bit) == bit:
                 kept.append(v)
                 continue
             rest = [f for f in facets if not f & bit]

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (DEFAULT_SIMPLEX_GUARD, ComplexError, SimplicialComplex,
-                   _bits, _strong_core, clique_complex, induced, is_chordal,
-                   link)
+                   _bits, _meet, _strong_core, clique_complex, induced,
+                   is_chordal, link)
 from .homology import reduced_betti, top_nonzero_degree
 
 DEFAULT_DEFINITION_CAP = 18
@@ -85,20 +85,16 @@ def leray_by_links(X: SimplicialComplex,
     * Reduced homology of lk(sigma) vanishes above its dimension, which is
       at most dim X - |sigma|.  Simplices come by size, so the scan stops
       once dim X - |sigma| <= best.
-    * A cone is contractible.  The apexes of lk(sigma) are the bits of the
-      AND of its facets' bitmasks, and apexes are inherited: lk(tau) =
-      lk(lk(tau - v), v), each of whose facets still contains every apex
-      a != v of lk(tau - v).  So the scan keeps the apex masks of the
-      cone links of the current size and the one before, and skips tau
-      when some mask(tau - v) & ~bit(v) is nonzero.  Otherwise the mask
-      is the AND of X's facets that contain tau (the facets of lk(tau),
-      each with tau added) with tau's bits cleared; no cone link is
-      built.
-    * Any other link, and lk(()) = X, is replaced by its strong-collapse
-      core (``core._strong_core``), which has the same homotopy type
+    * A cone is contractible.  With facets as bitmasks, the AND of X's
+      facets that contain sigma (``core._meet``) is sigma plus the apexes
+      of lk(sigma), since those facets are the link's facets with sigma
+      added.  The scan skips sigma when that AND is more than sigma; no
+      cone link is built, and X itself (sigma = ()) is tested the same way.
+    * Any other link, X included, is replaced by its strong-collapse core
+      (``core._strong_core``), which has the same homotopy type
       (Barmak-Minian 2012).  It is skipped when its dimension is <= best
-      or it has one facet: a one-facet core is a point (a cone collapses
-      to its apex, so X needs no apex test) or the empty complex.
+      or it has one facet: a one-facet core of a non-cone is a point or
+      the empty complex.
 
     A core on more than eight vertices is asked only for its largest
     nonzero degree above best (``homology.top_nonzero_degree``); a smaller
@@ -111,29 +107,15 @@ def leray_by_links(X: SimplicialComplex,
     witness = None
     if not X.is_void():
         dim_x = X.dim
-        facets = None
-        size, before, apexes = 0, {}, {}
+        facets = [_bits(f) for f in X.facets]
         for sigma in X.all_simplices(include_empty=True, guard=guard):
             if dim_x - len(sigma) <= best:
                 break
-            if len(sigma) > size:
-                size, before, apexes = len(sigma), apexes, {}
-            apex = 0
-            for i, v in enumerate(sigma):
-                apex |= before.get(sigma[:i] + sigma[i + 1:], 0) & ~(1 << v)
-            if sigma and not apex:
-                if facets is None:
-                    facets = [_bits(f) for f in X.facets]
-                s = _bits(sigma)
-                apex = -1
-                for f in facets:
-                    if f & s == s:
-                        apex &= f
-                apex &= ~s
-            if apex:
-                apexes[sigma] = apex
+            s = _bits(sigma)
+            if _meet(facets, s) != s:
                 continue
-            lk = _strong_core(link(X, sigma))
+            # X's own facet bitmasks are at hand; a link's are built anew
+            lk = _strong_core(link(X, sigma), None if sigma else facets)
             if lk.dim <= best or len(lk.facets) == 1:
                 continue
             if len(lk.used_vertices()) <= _EXACT_LINK_VERTICES:

@@ -126,8 +126,8 @@ def test_witness_recheck_rejects_tampering():
 
 
 def test_links_match_unpruned_scan_exhaustive():
-    # every complex on up to 5 vertices (7580): inherited apexes and
-    # strong-collapse cores skip no link the unpruned scan needs
+    # every complex on up to 5 vertices (7580): the facet-AND cone test
+    # and strong-collapse cores skip no link the unpruned scan needs
     for facets in enumerate_complexes(5):
         X = make_complex(facets, allow_void=True)
         cert = leray_by_links(X)
@@ -159,10 +159,10 @@ def test_links_match_unpruned_scan_on_clique_complexes(start):
         assert leray_by_definition(X).value == cert.value, seed
 
 
-def test_cone_apex_is_not_inherited_by_its_own_link():
+def test_vertices_of_sigma_are_not_apexes_of_its_link():
     # lk(0) and lk(3) are cones with apexes 3 and 0, but lk(03) is two
-    # points: an apex passes from lk(sigma) to lk(sigma + v) only for v
-    # other than the apex
+    # points: the AND of the facets containing 03 is 03 itself, whose
+    # bits are not apexes
     X = make_complex([[0, 1, 3], [0, 2, 3]])
     cert = leray_by_links(X)
     assert (cert.value, cert.witness) == (1, (("link", (0, 3)), 0))
@@ -241,9 +241,9 @@ def test_lproj_scan_certifies_without_exact_ranks(monkeypatch):
 
 def test_helly_amenta_scan_builds_few_links(monkeypatch):
     # the 70 complexes the helly-amenta benchmark's default seed scans (a
-    # nerve and a pieces complex per instance): most links are cones whose
-    # apex is inherited or read off the facet bitmasks, and the rest are
-    # asked about their strong-collapse cores
+    # nerve and a pieces complex per instance): most links are cones, told
+    # by the AND of the facet bitmasks without being built, and the rest
+    # are asked about their strong-collapse cores
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
@@ -264,7 +264,7 @@ def test_helly_amenta_scan_builds_few_links(monkeypatch):
     for text in wl.generate(0):
         wl.run(text)
     assert len(scans) == 70
-    assert len(links) <= 712
+    assert len(links) <= 706
     assert len(ranks) <= 119
 
 
