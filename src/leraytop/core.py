@@ -117,18 +117,31 @@ class SimplicialComplex:
         return any(s.issubset(f) for f in self.facets)
 
     def all_simplices(self, include_empty=False, guard=DEFAULT_SIMPLEX_GUARD):
-        """Every simplex, sorted by (dimension, lex).  Guarded enumeration."""
+        """Every simplex, sorted by (dimension, lex).  Guarded enumeration.
+
+        The faces of each facet, largest facets first, go into one set per
+        size; each set is sorted natively and the sets are joined by size,
+        which is the (dimension, lex) order.  After each facet the running
+        total over all sizes, empty simplex included, is checked against
+        the guard.  The total only grows, so the enumeration is refused
+        exactly when the whole list is longer than the guard, and stops at
+        the first facet that takes it past.
+        """
         if self._simplex_cache is None:
-            seen = set()
-            for f in sorted(self.facets, key=lambda t: (-len(t), t)):
-                if f in seen:
+            levels = []
+            for f in sorted(self.facets, key=len, reverse=True):
+                if not levels:
+                    levels = [set() for _ in range(len(f) + 1)]
+                if f in levels[len(f)]:
                     continue
-                for q in range(len(f) + 1):
-                    seen.update(combinations(f, q))
-                if len(seen) > guard:
+                for q, level in enumerate(levels[:len(f) + 1]):
+                    level.update(combinations(f, q))
+                if sum(map(len, levels)) > guard:
                     raise GuardExceeded(
                         "simplex enumeration exceeds guard %d" % guard)
-            self._simplex_cache = sorted(seen, key=lambda t: (len(t), t))
+            self._simplex_cache = []
+            for level in levels:
+                self._simplex_cache += sorted(level)
         elif len(self._simplex_cache) > guard:
             # a stored list refuses as its enumeration would, whichever
             # guard enumerated the complex first

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import DEFAULT_SIMPLEX_GUARD, SimplicialComplex
+from .core import DEFAULT_SIMPLEX_GUARD, SimplicialComplex, _bits
 
 
 @dataclass
@@ -171,13 +171,45 @@ def reduced_betti(X: SimplicialComplex,
     return BettiVector(reduced, minus_one, euler)
 
 
+def _hollow_simplex(X: SimplicialComplex) -> bool:
+    """True when X, of dimension d >= 0, contains the boundary of a
+    (d+1)-simplex: d+2 vertices whose d+2 d-faces are all facets of X.
+
+    ``comp[g]`` has bit w set when g + w is a d-facet, for each
+    codimension-1 face g of a d-facet.  A vertex w outside the d-facet f is
+    in the AND of comp[f - u] over u in f exactly when every f - u + w is a
+    d-facet, i.e. when f + w is such a hollow simplex.
+    """
+    d = X.dim
+    if d < 0:
+        return False
+    top = [f for f in X.facets if len(f) == d + 1]
+    comp = {}
+    for f in top:
+        for i, u in enumerate(f):
+            g = f[:i] + f[i + 1:]
+            comp[g] = comp.get(g, 0) | 1 << u
+    for f in top:
+        common = -1
+        for i in range(d + 1):
+            common &= comp[f[:i] + f[i + 1:]]
+        if common & ~_bits(f):
+            return True
+    return False
+
+
 def top_nonzero_degree(X: SimplicialComplex, above=-1,
                        guard=DEFAULT_SIMPLEX_GUARD):
     """The largest q > above with a nonzero reduced rational Betti number
     of X, or None; the answer of ``reduced_betti`` with only the degrees
     needed decided.
 
-    Degrees are tried from d = dim X downwards, each decided by the first
+    First, after the guarded enumeration of X, a hollow (d+1)-simplex
+    (``_hollow_simplex``) answers d = dim X: its boundary is a nonzero
+    d-cycle with coefficients +-1, and C_{d+1}(X) = 0, so no boundary can
+    cancel it and beta_d(Q) > 0.  No chain basis is built then.
+
+    Otherwise degrees are tried from d downwards, each decided by the first
     of three certificates that applies:
 
     * mod-2 zero: by universal coefficients beta_q(Q) <= beta_q(F_2), so a
@@ -191,6 +223,10 @@ def top_nonzero_degree(X: SimplicialComplex, above=-1,
     if X.is_void() or X.dim <= above:
         return None
     d = X.dim
+    # refuse an over-guard X before any certificate, as reduced_betti would
+    X.all_simplices(include_empty=True, guard=guard)
+    if _hollow_simplex(X):
+        return d
     bases, index = _chain_bases(X, guard)
     mod2 = {d + 1: 0}
     exact = {d + 1: 0}

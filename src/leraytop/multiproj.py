@@ -83,16 +83,17 @@ def project(px: PartitionedComplex) -> SimplicialComplex:
     return SimplicialComplex(px.m, _maximal(facets))
 
 
-def _section_table(px: PartitionedComplex) -> dict:
+def _section_table(px: PartitionedComplex,
+                   guard=DEFAULT_SIMPLEX_GUARD) -> dict:
     """Each nonempty image simplex mapped to the simplices of X over it, in
-    one pass over X's simplices.
+    one pass over X's simplices, enumerated under ``guard``.
 
     Parts are 0-dimensionally induced, so these are the sections over the
     image simplex.  Each is kept as X lists it, in vertex order.
     """
     owner = px.part_of()
     table = {}
-    for s in px.complex.all_simplices():
+    for s in px.complex.all_simplices(guard=guard):
         table.setdefault(tuple(sorted(owner[v] for v in s)), []).append(s)
     return table
 
@@ -120,14 +121,15 @@ def _check_simplex_count(count, guard):
             "multiple-point simplex count exceeds guard %d" % guard)
 
 
-def fiber_bound(px: PartitionedComplex):
+def fiber_bound(px: PartitionedComplex, guard=DEFAULT_SIMPLEX_GUARD):
     """The maximal number of preimage points over a point of the image,
     computed as the maximal number of sections over an image simplex.
 
     Returns (r, witness) where witness is the first image simplex, in
-    (dimension, lex) order, attaining r.
+    (dimension, lex) order, attaining r.  X's simplices are enumerated
+    under ``guard``.
     """
-    table = _section_table(px)
+    table = _section_table(px, guard)
     if not table:
         return 0, None
     r = max(map(len, table.values()))
@@ -217,7 +219,7 @@ def check_projection_theorem(px: PartitionedComplex,
                              guard=DEFAULT_SIMPLEX_GUARD):
     """Verify L(Y) <= r*L(X) + r - 1 for Y the image of the projection."""
     lx = leray_by_links(px.complex, guard=guard).value
-    r, witness = fiber_bound(px)
+    r, witness = fiber_bound(px, guard=guard)
     ly = leray_by_links(project(px), guard=guard).value
     bound = r * lx + r - 1
     return {

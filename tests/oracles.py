@@ -28,6 +28,17 @@ def all_faces(facets, include_empty=False):
     return out
 
 
+def all_simplices_by_one_set(X: SimplicialComplex):
+    """X's simplices, empty one included, as one set of every face of every
+    facet sorted by the key (dimension, lex): the reference for the
+    level-wise ``SimplicialComplex.all_simplices``."""
+    seen = set()
+    for f in X.facets:
+        for q in range(len(f) + 1):
+            seen.update(combinations(f, q))
+    return sorted(seen, key=lambda t: (len(t), t))
+
+
 def smith_rank(matrix):
     """Rank over Z (= rank over Q) by full Smith normal form reduction."""
     m = [row[:] for row in matrix]
@@ -114,6 +125,17 @@ def snf_reduced_betti(X: SimplicialComplex):
         ranks[q] = smith_rank(rows)
     return tuple(len(by_deg[q]) - ranks.get(q, 0) - ranks.get(q + 1, 0)
                  for q in range(0, top + 1))
+
+
+def hollow_simplex_by_subsets(X: SimplicialComplex):
+    """True when some d+2 vertices, d = dim X >= 0, have all their subsets
+    of size d+1 among the facets of X: the reference for
+    ``homology._hollow_simplex``."""
+    d = X.dim
+    if d < 0:
+        return False
+    return any(all(f in X.facets for f in combinations(s, d + 1))
+               for s in combinations(sorted(X.used_vertices()), d + 2))
 
 
 def enumerate_complexes(n, min_vertices=0):

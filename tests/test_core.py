@@ -7,12 +7,13 @@ from leraytop import (ComplexError, GuardExceeded, boundary_complex,
                       is_chordal, is_isomorphism, join, link, make_complex,
                       reduced_betti, solid_simplex, subdivision, union,
                       void_complex)
-from leraytop.core import _closed_facets, _maximal, _strong_core, as_simplex
+from leraytop.core import (SimplicialComplex, _closed_facets, _maximal,
+                           _strong_core, as_simplex)
 from leraytop.multiproj import random_complex
 from leraytop.rng import CounterRng
 
-from oracles import (all_faces, enumerate_complexes, link_facets_by_maximal,
-                     maximal_by_pairs)
+from oracles import (all_faces, all_simplices_by_one_set, enumerate_complexes,
+                     link_facets_by_maximal, maximal_by_pairs)
 
 
 def hollow_triangle():
@@ -51,6 +52,40 @@ def test_stored_simplex_list_still_checks_the_guard():
     with pytest.raises(GuardExceeded,
                        match="^simplex enumeration exceeds guard 7$"):
         X.all_simplices(guard=7)
+
+
+def _enumeration_cases():
+    """The corpus of complexes on at most 5 vertices, random complexes on 9,
+    and a void, an empty and a one-vertex complex."""
+    cases = [make_complex(facets, allow_void=True)
+             for facets in enumerate_complexes(5)]
+    cases += [random_complex(9, 4, 0.35, seed) for seed in range(12)]
+    return cases + [void_complex(3), empty_complex(2), make_complex([[0]])]
+
+
+def test_all_simplices_matches_one_set_reference():
+    for X in _enumeration_cases():
+        want = all_simplices_by_one_set(X)
+        assert X.all_simplices(include_empty=True) == want, X
+        assert X.all_simplices() == want[1:], X
+
+
+def test_all_simplices_guard_refuses_past_the_count_fresh_and_cached():
+    # with the empty simplex the list has n entries: guard n passes and
+    # guard n - 1 refuses, when the list is enumerated and when it is stored
+    cases = _enumeration_cases()
+    for X in cases[:-15:97] + cases[-15:]:
+        n = len(all_simplices_by_one_set(X))
+        Y = SimplicialComplex(X.vertex_count, X.facets)
+        if n == 0:
+            assert Y.all_simplices(guard=0) == []
+            continue
+        with pytest.raises(GuardExceeded):
+            Y.all_simplices(guard=n - 1)
+        assert len(Y.all_simplices(include_empty=True, guard=n)) == n
+        assert len(Y.all_simplices(include_empty=True, guard=n)) == n
+        with pytest.raises(GuardExceeded):
+            Y.all_simplices(guard=n - 1)
 
 
 def test_induced_examples():

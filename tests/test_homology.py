@@ -1,15 +1,17 @@
 import pytest
 
-from leraytop import (boundary_complex, boundary_matrices, empty_complex,
-                      euler_characteristic, join, make_complex, reduced_betti,
-                      solid_simplex, unreduced_betti, void_complex)
+from leraytop import (GuardExceeded, boundary_complex, boundary_matrices,
+                      empty_complex, euler_characteristic, join, make_complex,
+                      reduced_betti, solid_simplex, unreduced_betti,
+                      void_complex)
 from leraytop import homology, link
-from leraytop.homology import rank_mod2, rank_of_rows, top_nonzero_degree
+from leraytop.homology import (_hollow_simplex, rank_mod2, rank_of_rows,
+                               top_nonzero_degree)
 from leraytop.multiproj import extremal_example, random_complex
 from leraytop.rng import CounterRng
 
-from oracles import (enumerate_complexes, rank_mod2_dense, smith_rank,
-                     snf_reduced_betti)
+from oracles import (enumerate_complexes, hollow_simplex_by_subsets,
+                     rank_mod2_dense, smith_rank, snf_reduced_betti)
 
 
 def torus_7():
@@ -253,13 +255,69 @@ def test_top_nonzero_degree_euler_bound_counts_even_gaps(monkeypatch):
     assert calls
 
 
+def _cross_polytope_boundary(k):
+    """The boundary of the k-dimensional cross-polytope, a (k-1)-sphere on
+    2k vertices with no hollow k-simplex for k >= 2."""
+    X = boundary_complex((0, 1))
+    for _ in range(k - 1):
+        X = join(X, boundary_complex((0, 1)))
+    return X
+
+
 def test_top_nonzero_degree_euler_bound_decides_spheres(monkeypatch):
-    # a sphere's top degree is certified by the Euler bound alone
+    # a sphere's top degree needs no exact rank: a simplex boundary is a
+    # hollow simplex, and a cross-polytope boundary, which has none, is
+    # certified by the Euler bound
     calls = _count_exact_ranks(monkeypatch)
     for k in range(2, 6):
         assert top_nonzero_degree(boundary_complex(range(k))) == k - 2
+    for k in range(2, 5):
+        X = _cross_polytope_boundary(k)
+        assert not _hollow_simplex(X)
+        assert top_nonzero_degree(X) == k - 1
     assert calls == []
     # the torus's top is not: (-1)^2 chi = -1 <= beta_0(F_2), since
     # beta_1 = 2 cancels beta_2 = 1, so its top needs the exact ranks
     assert top_nonzero_degree(torus_7()) == 2
     assert len(calls) == 1
+
+
+def test_hollow_simplex_certifies_the_top_degree_on_every_small_complex():
+    # every complex on <= 5 vertices and every link in it: the certificate
+    # finds exactly the hollow (d+1)-simplices, and each one has a nonzero
+    # reduced Betti number in degree d = dim
+    hits = 0
+    for facets in enumerate_complexes(5):
+        X = make_complex(facets, allow_void=True)
+        for sigma in X.all_simplices(include_empty=True):
+            Y = link(X, sigma)
+            hollow = _hollow_simplex(Y)
+            assert hollow == hollow_simplex_by_subsets(Y), Y
+            if hollow:
+                hits += 1
+                assert reduced_betti(Y).degree(Y.dim) != 0, Y
+    assert hits
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_hollow_simplex_matches_subsets_random(seed):
+    X = random_complex(9, 4, 0.35, seed + 300)
+    assert _hollow_simplex(X) == hollow_simplex_by_subsets(X)
+    for sigma in X.all_simplices():
+        Y = link(X, sigma)
+        assert _hollow_simplex(Y) == hollow_simplex_by_subsets(Y), Y
+        if _hollow_simplex(Y):
+            assert reduced_betti(Y).degree(Y.dim) != 0, Y
+
+
+def test_top_nonzero_degree_guard_refuses_before_the_certificate():
+    # the boundary of the 4-simplex is a hollow 4-simplex with 31
+    # simplices, empty one included: the guard refuses it first
+    with pytest.raises(GuardExceeded):
+        top_nonzero_degree(boundary_complex(range(5)), guard=5)
+    X = boundary_complex(range(5))
+    with pytest.raises(GuardExceeded):
+        top_nonzero_degree(X, guard=30)
+    assert top_nonzero_degree(X, guard=31) == 3
+    with pytest.raises(GuardExceeded):
+        top_nonzero_degree(X, guard=30)

@@ -195,8 +195,8 @@ def test_links_scan_stops_after_one_link_at_dim_plus_one(X, monkeypatch):
 def test_lproj_scan_certifies_without_exact_ranks(monkeypatch):
     # the 40 complexes the lproj benchmark's default seed scans (X and
     # pi(X) of 20 instances): each X (14 vertices) goes to
-    # top_nonzero_degree, whose mod-2 and Euler certificates leave at most
-    # two exact ranks; each pi(X) (7 vertices) gets its full reduced_betti
+    # top_nonzero_degree, whose certificates leave at most two exact
+    # ranks; each pi(X) (7 vertices) gets its full reduced_betti
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
@@ -237,6 +237,34 @@ def test_lproj_scan_certifies_without_exact_ranks(monkeypatch):
     assert len(links) == 40
     assert len(ranks) <= 2
     assert bettis == images
+
+
+def test_lproj_scan_certifies_by_hollow_simplices(monkeypatch):
+    # each of the 20 X of the lproj benchmark's default seed contains a
+    # hollow 4-simplex, so top_nonzero_degree answers dim X = 3 without a
+    # chain basis: none of the 40 scans takes a mod-2 rank
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    mod2, hollow = [], []
+    rank_mod2, hollow_simplex = homology.rank_mod2, homology._hollow_simplex
+
+    def counted_mod2(masks):
+        mod2.append(masks)
+        return rank_mod2(masks)
+
+    def counted_hollow(X):
+        hollow.append(hollow_simplex(X))
+        return hollow[-1]
+
+    monkeypatch.setattr(homology, "rank_mod2", counted_mod2)
+    monkeypatch.setattr(homology, "_hollow_simplex", counted_hollow)
+    for text in workloads.Lproj().generate(0):
+        px = io_json.partitioned_from_json(text)
+        for X in (px.complex, project(px)):
+            leray_by_links(X)
+    assert hollow == [True] * 20
+    assert mod2 == []
 
 
 def test_helly_amenta_scan_builds_few_links(monkeypatch):

@@ -78,6 +78,36 @@ def test_fiber_bound_witness_breaks_ties_like_reference(r, d):
     assert fiber_bound(px) == fiber_bound_by_sections(px)
 
 
+def test_fiber_bound_guard_refuses_past_the_simplex_count():
+    # X's list with the empty simplex has n entries: guard n passes and
+    # guard n - 1 refuses, for a fresh complex and for a stored list
+    cases = [extremal_example(2, 2), two_points_one_part()]
+    cases += [random_partitioned_complex(4, [2, 3, 1, 2], 3, 0.5, seed)
+              for seed in range(4)]
+    for px in cases:
+        X = px.complex
+        n = len(X.all_simplices(include_empty=True))
+        px = make_partitioned(SimplicialComplex(X.vertex_count, X.facets),
+                              px.parts)
+        with pytest.raises(GuardExceeded):
+            fiber_bound(px, guard=n - 1)
+        assert fiber_bound(px, guard=n) == fiber_bound_by_sections(px)
+        with pytest.raises(GuardExceeded):
+            fiber_bound(px, guard=n - 1)
+
+
+def test_projection_check_passes_its_guard_to_fiber_bound(monkeypatch):
+    guards = []
+
+    def spy(px, guard):
+        guards.append(guard)
+        return fiber_bound(px, guard=guard)
+
+    monkeypatch.setattr(multiproj, "fiber_bound", spy)
+    rep = check_projection_theorem(extremal_example(2, 2), guard=3_000_000)
+    assert rep["holds"] and guards == [3_000_000]
+
+
 def test_fiber_bound_one_means_iso():
     for seed in range(5):
         px = random_partitioned_complex(4, [2, 1, 2, 1], 2, 0.5, seed)
