@@ -22,7 +22,8 @@ from . import icss as icss_mod
 from . import io_json
 from .core import ComplexError, GuardExceeded
 from .homology import euler_characteristic, reduced_betti
-from .leray import leray_by_definition, leray_by_links
+from .leray import (DEFAULT_DEFINITION_CAP, leray_by_definition,
+                    leray_by_links)
 from .multiproj import (check_intersection_bound, check_mps_vanishing,
                         check_projection_theorem, extremal_example,
                         fiber_bound, multiple_point_complex, project,
@@ -380,7 +381,7 @@ def build_parser():
     add_common(p)
     p.add_argument("--method", choices=["definition", "links", "both"],
                    default="links")
-    p.add_argument("--cap", type=int, default=18,
+    p.add_argument("--cap", type=int, default=DEFAULT_DEFINITION_CAP,
                    help="vertex cap for the definition method")
     p.set_defaults(func=_cmd_leray)
 

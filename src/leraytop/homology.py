@@ -1,8 +1,12 @@
 """Exact rational simplicial homology via integer boundary matrices.
 
-Ranks are computed by fraction-free elimination over arbitrary-precision
-integers (rows are rescaled by their gcd after each pivot step), so no
-floating point is involved anywhere.
+Every rank is taken by one routine, ``rank_of_rows``: fraction-free
+elimination over arbitrary-precision integers (rows are rescaled by their
+gcd after each pivot step), so no floating point is involved anywhere.
+``reduced_betti`` gives the full Betti vector.  ``top_nonzero_degree``
+answers the Leray scan's one question, the top nonzero degree, by one
+certificate (a hollow simplex, for the top degree) followed by exact ranks
+from the top down.
 """
 from __future__ import annotations
 
@@ -86,25 +90,6 @@ def rank_of_rows(rows) -> int:
     return len(pivots)
 
 
-def rank_mod2(masks) -> int:
-    """Rank over GF(2) of a 0/1 matrix given as one int bitmask per row.
-
-    XOR elimination: pivot rows are kept by their highest set bit, and a row
-    is reduced by the pivot at its highest bit until it has none or
-    vanishes.
-    """
-    pivots = {}
-    for x in masks:
-        while x:
-            top = x.bit_length() - 1
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = x
-                break
-            x ^= p
-    return len(pivots)
-
-
 def _chain_bases(X: SimplicialComplex, guard):
     """The simplices of X by degree, from one guarded enumeration: bases[q]
     in lexicographic order (q = -1 is the empty simplex), and index[q]
@@ -127,19 +112,6 @@ def _boundary_rows(bases, index, q):
             face = s[:i] + s[i + 1:]
             rows[ix[face]][j] = -1 if i % 2 else 1
     return rows
-
-
-def _boundary_masks(bases, index, q):
-    """The boundary from degree q >= 0 to q-1 over GF(2), transposed: one
-    bitmask per q-simplex with the bits of its (q-1)-faces."""
-    ix = index[q - 1]
-    out = []
-    for s in bases[q]:
-        m = 0
-        for i in range(len(s)):
-            m |= 1 << ix[s[:i] + s[i + 1:]]
-        out.append(m)
-    return out
 
 
 def boundary_matrices(X: SimplicialComplex,
@@ -204,54 +176,30 @@ def top_nonzero_degree(X: SimplicialComplex, above=-1,
     of X, or None; the answer of ``reduced_betti`` with only the degrees
     needed decided.
 
-    First, after the guarded enumeration of X, a hollow (d+1)-simplex
+    After the guarded enumeration of X, a hollow (d+1)-simplex
     (``_hollow_simplex``) answers d = dim X: its boundary is a nonzero
     d-cycle with coefficients +-1, and C_{d+1}(X) = 0, so no boundary can
     cancel it and beta_d(Q) > 0.  No chain basis is built then.
 
-    Otherwise degrees are tried from d downwards, each decided by the first
-    of three certificates that applies:
-
-    * mod-2 zero: by universal coefficients beta_q(Q) <= beta_q(F_2), so a
-      GF(2) Betti number of 0 proves beta_q(Q) = 0;
-    * Euler bound, at q = d only: the reduced Euler characteristic is
-      sum_q (-1)^q beta_q over every field, so beta_d(Q) >=
-      (-1)^d chi - sum of beta_q(F_2) over q < d with d - q even, and a
-      positive bound proves beta_d(Q) > 0;
-    * otherwise exact ranks by ``rank_of_rows``, each computed at most once.
+    Otherwise degrees are tried from d downwards by exact ranks
+    (``rank_of_rows``).  beta_q needs the ranks of the boundaries out of
+    degrees q and q+1, and the rank for q+1 is the one the degree above
+    took (0 at the top, as C_{d+1} = 0), so each degree costs one new rank.
     """
     if X.is_void() or X.dim <= above:
         return None
     d = X.dim
-    # refuse an over-guard X before any certificate, as reduced_betti would
+    # refuse an over-guard X before the certificate, as reduced_betti would
     X.all_simplices(include_empty=True, guard=guard)
     if _hollow_simplex(X):
         return d
     bases, index = _chain_bases(X, guard)
-    mod2 = {d + 1: 0}
-    exact = {d + 1: 0}
-
-    def betti(q, ranks, rank):
-        for p in (q, q + 1):
-            if p not in ranks:
-                ranks[p] = rank(p)
-        return len(bases[q]) - ranks[q] - ranks[q + 1]
-
-    def betti_mod2(q):
-        return betti(q, mod2, lambda p: rank_mod2(
-            _boundary_masks(bases, index, p)))
-
+    upper = 0
     for q in range(d, above, -1):
-        if not betti_mod2(q):
-            continue
-        if q == d:
-            chi = sum((-1) ** p * len(bases[p]) for p in range(-1, d + 1))
-            if (-1) ** d * chi > sum(betti_mod2(p)
-                                     for p in range(d - 2, -1, -2)):
-                return d
-        if betti(q, exact, lambda p: rank_of_rows(
-                _boundary_rows(bases, index, p))):
+        rank = rank_of_rows(_boundary_rows(bases, index, q))
+        if len(bases[q]) - rank - upper:
             return q
+        upper = rank
     return None
 
 

@@ -296,7 +296,10 @@ def e1_page(px: PartitionedComplex,
     ``px`` and kept on it; the guards are checked on every call, so a
     smaller guard still refuses.
     """
-    sections = _section_table(px)
+    # X is enumerated under the guard after the k = 1 vertex bound, as
+    # building M_1 would do
+    _check_vertex_bound(px.parts, 1)
+    sections = _section_table(px, guard)
     r = max(map(len, sections.values()), default=0)
     _refuse_over_guard(px, sections, r, guard)
     if px._e1_page is None:

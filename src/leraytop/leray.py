@@ -97,10 +97,12 @@ def leray_by_links(X: SimplicialComplex,
       the empty complex.
 
     A core on more than eight vertices is asked only for its largest
-    nonzero degree above best (``homology.top_nonzero_degree``); a smaller
-    one, of at most 2^8 simplices, gets its full ``reduced_betti``.  The
-    witness is ("link", sigma), re-checked by ``check_witness`` on the full
-    link.  ``leray_by_definition`` tests cones by ``_is_cone`` and takes
+    nonzero degree above best (``homology.top_nonzero_degree``): a hollow
+    simplex answers its top degree, and otherwise exact ranks decide the
+    degrees from the top down.  A smaller core, of at most 2^8 simplices,
+    gets its full ``reduced_betti``, whose calls the benchmark's tracer
+    follows under the scan.  The witness is ("link", sigma), re-checked by
+    ``check_witness`` on the full link.  ``leray_by_definition`` tests cones by ``_is_cone`` and takes
     no core, so the oracle does not share this path.
     """
     best = -1

@@ -171,7 +171,10 @@ class MultiPointComplex:
 
 def generalized_mpc(pxs,
                     guard=DEFAULT_MPC_SIMPLEX_GUARD) -> MultiPointComplex:
-    """The multiple-point complex of factors sharing one part structure."""
+    """The multiple-point complex of factors sharing one part structure.
+
+    ``guard`` bounds each factor's simplex enumeration and the simplex
+    count of the result."""
     if not pxs:
         raise ComplexError("at least one factor is required")
     parts = pxs[0].parts
@@ -180,7 +183,7 @@ def generalized_mpc(pxs,
             raise ComplexError("factors have mismatched part structures")
     k = len(pxs)
     _check_vertex_bound(parts, k)
-    tables = [_section_table(px) for px in pxs]
+    tables = [_section_table(px, guard) for px in pxs]
     _check_simplex_count(_mpc_simplex_count(tables), guard)
     owner = pxs[0].part_of()
     simplices = []

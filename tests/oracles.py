@@ -1,13 +1,15 @@
 """Independent test oracles: Smith-normal-form homology, brute-force
-simplex-set operations, exhaustive enumeration of small complexes, and the
-unpruned or pre-optimisation forms of the library's fast paths.
+simplex-set operations, exhaustive enumeration of small complexes, a few
+named complexes with torsion or without hollow simplices, and the unpruned
+or pre-optimisation forms of the library's fast paths.
 
 Everything here is deliberately naive and shares no code path with the
 library's homology/rank implementation.
 """
 from itertools import combinations
 
-from leraytop import ComplexError, SimplicialComplex, project
+from leraytop import (ComplexError, SimplicialComplex, boundary_complex, join,
+                      make_complex, project)
 from leraytop.core import _closed_facets, as_simplex
 from leraytop.helly import (FamilyError, FrFamily, FrValidationError,
                             box_meet, boxes_disjoint)
@@ -87,23 +89,6 @@ def smith_rank(matrix):
     return rank
 
 
-def rank_mod2_dense(matrix):
-    """Rank over GF(2) of a dense integer matrix (entries read mod 2) by
-    row reduction with column-by-column pivot search."""
-    m = [[x % 2 for x in row] for row in matrix]
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                m[i] = [x ^ y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def snf_reduced_betti(X: SimplicialComplex):
     """Reduced Betti numbers via dense boundary matrices and SNF ranks."""
     if X.is_void():
@@ -136,6 +121,33 @@ def hollow_simplex_by_subsets(X: SimplicialComplex):
         return False
     return any(all(f in X.facets for f in combinations(s, d + 1))
                for s in combinations(sorted(X.used_vertices()), d + 2))
+
+
+def rp2_6():
+    """The 6-vertex real projective plane: H_1 = Z/2, rationally acyclic."""
+    facets = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+              (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
+    return make_complex([[v - 1 for v in f] for f in facets])
+
+
+def rp2_suspension():
+    """The suspension of ``rp2_6``: H_2 = Z/2, rationally acyclic."""
+    return join(rp2_6(), boundary_complex((0, 1)))
+
+
+def rp2_plus_two_points():
+    """``rp2_6`` with two isolated vertices: beta_0 = 2 over every field,
+    and beta_2(Q) = 0 although beta_2(F_2) = 1."""
+    return make_complex(list(rp2_6().facets) + [(6,), (7,)])
+
+
+def cross_polytope_boundary(k):
+    """The boundary of the k-dimensional cross-polytope, a (k-1)-sphere on
+    2k vertices with no hollow k-simplex for k >= 2."""
+    X = boundary_complex((0, 1))
+    for _ in range(k - 1):
+        X = join(X, boundary_complex((0, 1)))
+    return X
 
 
 def enumerate_complexes(n, min_vertices=0):
@@ -227,7 +239,8 @@ def mpc_by_sections(pxs, guard=DEFAULT_MPC_SIMPLEX_GUARD) -> MultiPointComplex:
     """``generalized_mpc`` over the image simplices common to every
     factor's projection, each factor's sections found by extending choices
     one part at a time and testing each with ``contains``, and the simplex
-    count checked as it grows."""
+    count checked as it grows.  Each factor's complex is enumerated under
+    the guard first, as the guard bounds every enumeration of the call."""
     if not pxs:
         raise ComplexError("at least one factor is required")
     parts = pxs[0].parts
@@ -236,6 +249,8 @@ def mpc_by_sections(pxs, guard=DEFAULT_MPC_SIMPLEX_GUARD) -> MultiPointComplex:
             raise ComplexError("factors have mismatched part structures")
     k = len(pxs)
     _check_vertex_bound(parts, k)
+    for px in pxs:
+        px.complex.all_simplices(guard=guard)
     images = [project(px) for px in pxs]
     common = [s for s in images[0].all_simplices()
               if all(img.contains(s) for img in images[1:])]

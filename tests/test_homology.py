@@ -5,13 +5,13 @@ from leraytop import (GuardExceeded, boundary_complex, boundary_matrices,
                       reduced_betti, solid_simplex, unreduced_betti,
                       void_complex)
 from leraytop import homology, link
-from leraytop.homology import (_hollow_simplex, rank_mod2, rank_of_rows,
-                               top_nonzero_degree)
+from leraytop.homology import _hollow_simplex, rank_of_rows, top_nonzero_degree
 from leraytop.multiproj import extremal_example, random_complex
 from leraytop.rng import CounterRng
 
-from oracles import (enumerate_complexes, hollow_simplex_by_subsets,
-                     rank_mod2_dense, smith_rank, snf_reduced_betti)
+from oracles import (cross_polytope_boundary, enumerate_complexes,
+                     hollow_simplex_by_subsets, rp2_6, rp2_plus_two_points,
+                     rp2_suspension, smith_rank, snf_reduced_betti)
 
 
 def torus_7():
@@ -21,19 +21,8 @@ def torus_7():
     return make_complex(facets)
 
 
-def rp2_6():
-    """The 6-vertex real projective plane: H_1 = Z/2, rationally acyclic."""
-    facets = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
-              (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
-    return make_complex([[v - 1 for v in f] for f in facets])
-
-
 def _dense(rows, ncols):
     return [[row.get(c, 0) for c in range(ncols)] for row in rows]
-
-
-def _masks(rows):
-    return [sum(1 << c for c in row) for row in rows]
 
 
 def test_boundary_matrix_examples():
@@ -152,22 +141,8 @@ def test_rank_on_torsion_rp2():
     for q, rows in cb.matrices.items():
         dense = _dense(rows, cb.dim_chain(q))
         assert rank_of_rows(rows) == smith_rank(dense)
-        assert rank_mod2(_masks(rows)) == rank_mod2_dense(dense)
-    # over F_2 the rank of the 2-boundary drops to 9; over Q it is 10
     assert rank_of_rows(cb.matrices[2]) == 10
-    assert rank_mod2(_masks(cb.matrices[2])) == 9
     assert reduced_betti(X).reduced == snf_reduced_betti(X) == (0, 0, 0)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_rank_mod2_matches_dense_elimination(seed):
-    rng = CounterRng(seed + 7100)
-    nrows, ncols = 1 + rng.randint(14), 1 + rng.randint(14)
-    density = 0.1 + 0.6 * rng.uniform()
-    rows = [{c: 1 for c in range(ncols) if rng.uniform() < density}
-            for _ in range(nrows)]
-    rows += rows[:rng.randint(3)]          # repeated rows
-    assert rank_mod2(_masks(rows)) == rank_mod2_dense(_dense(rows, ncols))
 
 
 def _check_every_above(X):
@@ -214,72 +189,52 @@ def _count_exact_ranks(monkeypatch):
 
 
 def test_top_nonzero_degree_exact_fallback_on_rp2(monkeypatch):
-    # beta_2(F_2) = beta_1(F_2) = 1 but RP^2 is rationally acyclic.  The
-    # reduced Euler characteristic is 0, so the bound at the top is
-    # 0 - beta_0(F_2) = 0: neither the mod-2 zero nor the Euler bound
-    # applies in degrees 2 and 1, and the exact ranks must answer 0 there.
+    # RP^2 has no hollow tetrahedron and is rationally acyclic, although
+    # H_1 = Z/2: every degree is decided by exact ranks, one new rank each
     calls = _count_exact_ranks(monkeypatch)
     assert top_nonzero_degree(rp2_6()) is None
-    # the degree-2 boundary (15 edge rows), then the degree-1 boundary (6
-    # vertex rows); the degree-2 rank is reused for degree 1
-    assert calls == [15, 6]
+    # the boundaries out of degrees 2, 1 and 0, with 15 edge rows, 6 vertex
+    # rows and the one row of the empty simplex; each rank is reused for the
+    # degree below
+    assert calls == [15, 6, 1]
     calls.clear()
     assert top_nonzero_degree(rp2_6(), 1) is None
     assert calls == [15]
 
 
 def test_top_nonzero_degree_exact_fallback_below_the_top(monkeypatch):
-    # the suspension of RP^2: F_2-homology in degrees 3 and 2 only, rational
-    # homology zero; the Euler bound at the top is 0 - beta_1(F_2) = 0, so
-    # both degrees fall back to exact ranks, the lower one below the top
-    susp = join(rp2_6(), boundary_complex((0, 1)))
+    # the suspension of RP^2 is rationally acyclic: the degrees from the
+    # top down take the boundaries out of degrees 3, 2, 1 and 0, with 40
+    # triangle, 27 edge, 8 vertex and 1 empty-simplex rows
     calls = _count_exact_ranks(monkeypatch)
-    assert top_nonzero_degree(susp) is None
-    assert len(calls) == 2
-    assert top_nonzero_degree(susp, 2) is None
-    assert len(calls) == 3
+    assert top_nonzero_degree(rp2_suspension()) is None
+    assert calls == [40, 27, 8, 1]
+    calls.clear()
+    assert top_nonzero_degree(rp2_suspension(), 2) is None
+    assert calls == [40]
 
 
-def test_top_nonzero_degree_euler_bound_counts_even_gaps(monkeypatch):
-    # RP^2 plus two isolated vertices: reduced Euler characteristic 2, with
-    # beta_0 = 2 over every field, beta_1(F_2) = beta_2(F_2) = 1 and
-    # beta_2(Q) = 0.  The bound at the top subtracts beta_0(F_2) (d - q = 2)
-    # and is 0; subtracting the odd gap beta_1(F_2) instead, or nothing,
-    # would wrongly certify degree 2.
-    facets = list(rp2_6().facets) + [(6,), (7,)]
-    X = make_complex(facets)
-    assert reduced_betti(X).reduced == (2, 0, 0)
-    calls = _count_exact_ranks(monkeypatch)
-    assert top_nonzero_degree(X) == 0
-    assert top_nonzero_degree(X, 0) is None
-    assert calls
+def test_top_nonzero_degree_matches_reduced_betti_with_torsion():
+    # RP^2, its suspension, and RP^2 plus two isolated vertices
+    assert reduced_betti(rp2_plus_two_points()).reduced == (2, 0, 0)
+    for X in (rp2_6(), rp2_suspension(), rp2_plus_two_points()):
+        _check_every_above(X)
 
 
-def _cross_polytope_boundary(k):
-    """The boundary of the k-dimensional cross-polytope, a (k-1)-sphere on
-    2k vertices with no hollow k-simplex for k >= 2."""
-    X = boundary_complex((0, 1))
-    for _ in range(k - 1):
-        X = join(X, boundary_complex((0, 1)))
-    return X
-
-
-def test_top_nonzero_degree_euler_bound_decides_spheres(monkeypatch):
-    # a sphere's top degree needs no exact rank: a simplex boundary is a
-    # hollow simplex, and a cross-polytope boundary, which has none, is
-    # certified by the Euler bound
+def test_top_nonzero_degree_spends_one_rank_on_a_sphere_top(monkeypatch):
+    # a simplex boundary is a hollow simplex and takes no exact rank; a
+    # cross-polytope boundary has none, and its top degree d takes one
+    # rank, of the boundary out of degree d (C_{d+1} = 0)
     calls = _count_exact_ranks(monkeypatch)
     for k in range(2, 6):
         assert top_nonzero_degree(boundary_complex(range(k))) == k - 2
+    assert calls == []
     for k in range(2, 5):
-        X = _cross_polytope_boundary(k)
+        X = cross_polytope_boundary(k)
         assert not _hollow_simplex(X)
         assert top_nonzero_degree(X) == k - 1
-    assert calls == []
-    # the torus's top is not: (-1)^2 chi = -1 <= beta_0(F_2), since
-    # beta_1 = 2 cancels beta_2 = 1, so its top needs the exact ranks
-    assert top_nonzero_degree(torus_7()) == 2
-    assert len(calls) == 1
+    # one row per (k-2)-face: k * 2^(k-1)
+    assert calls == [4, 12, 32]
 
 
 def test_hollow_simplex_certifies_the_top_degree_on_every_small_complex():

@@ -15,7 +15,9 @@ from leraytop.multiproj import (extremal_example, random_complex,
                                 random_partitioned_complex)
 from leraytop.rng import CounterRng
 
-from oracles import enumerate_complexes, leray_links_unpruned
+from oracles import (cross_polytope_boundary, enumerate_complexes,
+                     leray_links_unpruned, rp2_6, rp2_plus_two_points,
+                     rp2_suspension)
 
 
 def test_definition_examples():
@@ -242,29 +244,23 @@ def test_lproj_scan_certifies_without_exact_ranks(monkeypatch):
 def test_lproj_scan_certifies_by_hollow_simplices(monkeypatch):
     # each of the 20 X of the lproj benchmark's default seed contains a
     # hollow 4-simplex, so top_nonzero_degree answers dim X = 3 without a
-    # chain basis: none of the 40 scans takes a mod-2 rank
+    # chain basis
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
-    mod2, hollow = [], []
-    rank_mod2, hollow_simplex = homology.rank_mod2, homology._hollow_simplex
-
-    def counted_mod2(masks):
-        mod2.append(masks)
-        return rank_mod2(masks)
+    hollow = []
+    hollow_simplex = homology._hollow_simplex
 
     def counted_hollow(X):
         hollow.append(hollow_simplex(X))
         return hollow[-1]
 
-    monkeypatch.setattr(homology, "rank_mod2", counted_mod2)
     monkeypatch.setattr(homology, "_hollow_simplex", counted_hollow)
     for text in workloads.Lproj().generate(0):
         px = io_json.partitioned_from_json(text)
         for X in (px.complex, project(px)):
             leray_by_links(X)
     assert hollow == [True] * 20
-    assert mod2 == []
 
 
 def test_helly_amenta_scan_builds_few_links(monkeypatch):
@@ -304,6 +300,9 @@ def test_certified_branch_matches_unpruned_scan(monkeypatch):
               else make_complex([()], allow_void=True)
               for facets in enumerate_complexes(4)]
     corpus += [random_complex(8, 3, 0.5, seed) for seed in range(12)]
+    # no hollow simplex at the top, or torsion: exact ranks decide these
+    corpus += [cross_polytope_boundary(k) for k in range(2, 6)]
+    corpus += [rp2_6(), rp2_suspension(), rp2_plus_two_points()]
     for X in corpus:
         cert = leray_by_links(X)
         assert (cert.value, cert.witness) == leray_links_unpruned(X), X

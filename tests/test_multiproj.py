@@ -16,7 +16,7 @@ from leraytop.core import (SimplicialComplex, _closed_facets, _maximal,
                            make_complex as _mk)
 from leraytop.multiproj import (_section_table, make_partitioned,
                                 projection_image_of_extremal, random_complex)
-from leraytop.icss import sym_action
+from leraytop.icss import e1_page, sym_action
 from leraytop.rng import CounterRng
 
 from oracles import fiber_bound_by_sections, mpc_by_sections
@@ -106,6 +106,39 @@ def test_projection_check_passes_its_guard_to_fiber_bound(monkeypatch):
     monkeypatch.setattr(multiproj, "fiber_bound", spy)
     rep = check_projection_theorem(extremal_example(2, 2), guard=3_000_000)
     assert rep["holds"] and guards == [3_000_000]
+
+
+def _padded_past_default_guard(px):
+    """A fresh copy of px whose X has a stored simplex list of 2,000,001
+    entries, longer than the default guard: X's own simplices, then copies
+    of the empty simplex.  The section table files the copies under the
+    empty image simplex, which no other factor has."""
+    X = SimplicialComplex(px.complex.vertex_count, px.complex.facets)
+    own = X.all_simplices(include_empty=True)
+    X._simplex_cache = own + [()] * (2_000_001 - len(own))
+    return make_partitioned(X, px.parts)
+
+
+def test_generalized_mpc_passes_its_guard_to_the_section_table():
+    px = extremal_example(2, 2)
+    padded = _padded_past_default_guard(px)
+    with pytest.raises(GuardExceeded,
+                       match="simplex enumeration exceeds guard 2000000"):
+        generalized_mpc([px, padded], guard=2_000_000)
+    M = generalized_mpc([px, padded], guard=3_000_000)
+    assert M.complex.facets == generalized_mpc([px, px]).complex.facets
+
+
+def test_e1_page_passes_its_guard_to_the_section_table():
+    padded = _padded_past_default_guard(extremal_example(2, 2))
+    with pytest.raises(GuardExceeded,
+                       match="simplex enumeration exceeds guard 2000000"):
+        e1_page(padded, guard=2_000_000)
+    # the enumeration passes; the 2,000,000 sections over the empty image
+    # simplex put M_2 over the guard
+    with pytest.raises(GuardExceeded, match="multiple-point simplex count "
+                                            "exceeds guard 3000000"):
+        e1_page(padded, guard=3_000_000)
 
 
 def test_fiber_bound_one_means_iso():
