@@ -102,8 +102,9 @@ def leray_by_links(X: SimplicialComplex,
     degrees from the top down.  A smaller core, of at most 2^8 simplices,
     gets its full ``reduced_betti``, whose calls the benchmark's tracer
     follows under the scan.  The witness is ("link", sigma), re-checked by
-    ``check_witness`` on the full link.  ``leray_by_definition`` tests cones by ``_is_cone`` and takes
-    no core, so the oracle does not share this path.
+    ``check_witness`` on the full link.  ``leray_by_definition`` tests
+    cones by ``_is_cone`` and takes no core, so the oracle does not share
+    this path.
     """
     best = -1
     witness = None
