@@ -268,6 +268,8 @@ def _cmd_amenta(args):
     if args.count is not None:
         return _run_batch("amenta", args)
     d, members = io_json.family_from_json(_read_text(args.file))
+    # refuse an over-cap family before the validation walk
+    helly_mod._check_cap(members, helly_mod.MEMBER_CAP)
     pieces = {}
     grouping = []
     for name, boxes in members.items():
@@ -400,7 +402,7 @@ def build_parser():
 
     p = sub.add_parser("helly", help="Helly number of a box family")
     add_common(p, guard=False)
-    p.add_argument("--cap", type=int, default=20,
+    p.add_argument("--cap", type=int, default=helly_mod.MEMBER_CAP,
                    help="member cap for subfamily enumeration")
     p.set_defaults(func=_cmd_helly)
 

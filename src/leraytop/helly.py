@@ -10,13 +10,14 @@ matters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import inf, lcm
 
-from .core import ComplexError, SimplicialComplex, _closed_facets
+from .core import SimplicialComplex, _closed_facets
 from .leray import leray_by_links
-from .multiproj import fiber_bound, make_partitioned
+from .multiproj import fiber_bound, make_partitioned, project
 from .rng import CounterRng
 
 
@@ -25,6 +26,7 @@ class FamilyError(ValueError):
 
 
 _EMPTY_COLLECTION = "intersection of an empty collection is undefined"
+MEMBER_CAP = 20         # default cap on the members of a walked family
 
 
 @dataclass(frozen=True)
@@ -69,27 +71,25 @@ def boxes_disjoint(a: Box, b: Box) -> bool:
 # -- the subfamily walk --------------------------------------------------
 
 
-def _ranked(dimension, groups):
+def _scaled(dimension, groups):
     """``groups`` (lists of boxes) with each box as a flat tuple
-    (lo_0, hi_0, lo_1, hi_1, ...) of endpoint ranks: an endpoint becomes its
-    rank among the distinct endpoints on its axis.
+    (lo_0, hi_0, lo_1, hi_1, ...) of integers: each axis is multiplied by
+    the lcm of the denominators of its endpoints.
 
-    Closed intervals meet iff max lo <= min hi, and ranking keeps the order
-    and the equalities of the endpoints on an axis, so every meet is empty
-    on ranks exactly when it is empty on the rational endpoints.
+    Closed intervals meet iff max lo <= min hi, and a positive scaling
+    keeps the order and the equalities of the endpoints on an axis, so
+    every meet is empty on the integers exactly when it is empty on the
+    rational endpoints.
     """
-    rank = []
-    for axis in range(dimension):
-        ends = sorted({x for boxes in groups for b in boxes
-                       for x in b.intervals[axis]})
-        rank.append({x: i for i, x in enumerate(ends)})
-    return [[tuple(rank[axis][x] for axis in range(dimension)
-                   for x in b.intervals[axis]) for b in boxes]
-            for boxes in groups]
+    scale = [lcm(*{x.denominator for boxes in groups for b in boxes
+                   for x in b.intervals[axis]}) for axis in range(dimension)]
+    return [[tuple(x.numerator * (scale[axis] // x.denominator)
+                   for axis in range(dimension) for x in b.intervals[axis])
+             for b in boxes] for boxes in groups]
 
 
-def _meet_ranked(a, b):
-    """Meet of two ranked boxes; None if empty."""
+def _meet_scaled(a, b):
+    """Meet of two scaled boxes; None if empty."""
     out = []
     for i in range(0, len(a), 2):
         lo = a[i] if a[i] > b[i] else b[i]
@@ -107,23 +107,24 @@ def _meet_sets(a, b):
 
 
 def _meet_walk(parts, meet):
-    """Yield ``(sub, meets)`` for every subfamily with nonempty
-    intersection, by size and then in lexicographic order of the index
-    tuple ``sub``.  ``parts`` holds one list of parts per member (the member
-    is their union) and ``meet(a, b)`` is the intersection of two parts, or
-    None if it is empty; ``meets`` are the nonempty meets of one part per
-    member of ``sub``.
+    """Yield, size by size, the list of ``(sub, meets)`` for every
+    subfamily of that size with nonempty intersection, in lexicographic
+    order of the index tuple ``sub``.  ``parts`` holds one list of parts per
+    member (the member is their union) and ``meet(a, b)`` is the
+    intersection of two parts, or None if it is empty; ``meets`` are the
+    nonempty meets of one part per member of ``sub``.
 
     An entry is its prefix ``sub[:-1]``'s meets met with each part of its
     last member, and a subfamily with an empty prefix is empty, so it is
-    never visited.  Only the current and the next size are held.
+    never visited.  Only the current and the next size are held, and the
+    next is met only when the caller asks for it.
     """
     n = len(parts)
     level = [((i,), p) for i, p in enumerate(parts) if p]
     while level:
+        yield level
         nxt = []
         for sub, acc in level:
-            yield sub, acc
             for j in range(sub[-1] + 1, n):
                 meets = []
                 for a in acc:
@@ -138,20 +139,24 @@ def _meet_walk(parts, meet):
 
 class _WalkFamily:
     """A family that keeps one thing: its nonempty subfamilies as sorted
-    index tuples over ``names``, which are the simplices of its nerve.  They
-    come from one ``_meet_walk`` over ``_parts()`` on first use, unless
-    ``make_fr_family`` stored them while validating.  Box families rank
-    ``_member_boxes()`` (one list of boxes per member, in ``names`` order).
+    index tuples over ``names`` (a grouped family's are the keys of its
+    table), which are the simplices of its nerve.  They come from one
+    ``_meet_walk`` on first use (``_walk``).  Box families scale
+    ``_member_boxes()`` (one list of boxes per member, in ``names`` order)
+    to integers.
     """
     _faces = None
 
     def _parts(self):
-        return _ranked(self.dimension, self._member_boxes()), _meet_ranked
+        return _scaled(self.dimension, self._member_boxes()), _meet_scaled
+
+    def _walk(self):
+        object.__setattr__(self, "_faces", frozenset(
+            sub for level in _meet_walk(*self._parts()) for sub, _ in level))
 
     def _nonempty(self):
         if self._faces is None:
-            object.__setattr__(self, "_faces", frozenset(
-                sub for sub, _ in _meet_walk(*self._parts())))
+            self._walk()
         return self._faces
 
     def is_empty_intersection(self, names):
@@ -227,7 +232,7 @@ def _check_cap(names, cap):
         raise FamilyError("family size %d exceeds cap %d" % (len(names), cap))
 
 
-def minimal_empty_subfamilies(family, cap=20):
+def minimal_empty_subfamilies(family, cap=MEMBER_CAP):
     """Inclusion-minimal subfamilies with empty intersection (the minimal
     non-faces of the nerve), as name tuples by size and then
     lexicographically.  Each is a face (the empty one included) extended by
@@ -235,7 +240,7 @@ def minimal_empty_subfamilies(family, cap=20):
     names = family.names
     _check_cap(names, cap)
     # the empty subfamily counts as intersecting even when the nerve is void
-    faces = family._nonempty() | {()}
+    faces = {(), *family._nonempty()}
     out = []
     for s in faces:
         for j in range(s[-1] + 1 if s else 0, len(names)):
@@ -247,9 +252,10 @@ def minimal_empty_subfamilies(family, cap=20):
     return [tuple(names[i] for i in c) for c in out]
 
 
-def helly_number(family, cap=20) -> HellyReport:
+def helly_number(family, cap=MEMBER_CAP, nv=None) -> HellyReport:
     """The Helly number: the largest minimal empty-intersection subfamily
-    (or 1 if all intersections are nonempty), plus the nerve-Leray bound."""
+    (or 1 if all intersections are nonempty), plus the nerve-Leray bound.
+    ``nv`` is the family's nerve, if the caller has built it."""
     minimal = minimal_empty_subfamilies(family, cap)
     if minimal:
         witness = max(minimal, key=len)
@@ -257,7 +263,7 @@ def helly_number(family, cap=20) -> HellyReport:
     else:
         witness = ()
         h = 1
-    nl = leray_by_links(nerve(family)).value
+    nl = leray_by_links(nerve(family) if nv is None else nv).value
     return HellyReport(h, witness, nl, 1 + nl)
 
 
@@ -288,7 +294,7 @@ def helly_number_direct(family, cap=12) -> int:
     return n
 
 
-def check_hl(family, cap=20):
+def check_hl(family, cap=MEMBER_CAP):
     """Verify the nerve-Leray bound on the Helly number."""
     report = helly_number(family, cap=cap)
     return {
@@ -334,18 +340,38 @@ class FrFamily(_WalkFamily):
     base: object                 # BoxFamily of all pieces
     groups: tuple                # ((group name, (piece names...)), ...)
     r: int
-    # The nonempty subfamilies of groups, filled by make_fr_family or on
-    # first use; like PartitionedComplex._e1_page it is not part of the value.
-    _faces: object = field(default=None, init=False, compare=False,
-                           repr=False)
+    # Set by _walk, read-only after and not part of the value: _faces maps
+    # each nonempty subfamily of groups to the subfamilies of pieces over
+    # it, and _piece_faces lists those by size and then lexicographically.
+    _piece_faces = None
 
     @property
     def names(self):
         return tuple(g for g, _ in self.groups)
 
-    def _member_boxes(self):
-        return [[self.base.members[p] for p in pieces]
-                for _, pieces in self.groups]
+    def _walk(self, r=inf):
+        """Walk the pieces in group-major order; after each size, raise for
+        the first subfamily of groups over which more than r meet.  A
+        group's pieces are disjoint, so the groups of the pieces that meet
+        are distinct, sorted and, size by size, in lexicographic order."""
+        owner = [g for g, (_, ps) in enumerate(self.groups) for _ in ps]
+        boxes = [[self.base.members[p]] for _, ps in self.groups for p in ps]
+        table, subs = {}, []
+        for level in _meet_walk(_scaled(self.dimension, boxes), _meet_scaled):
+            keys = {}
+            for sub, _ in level:
+                keys.setdefault(tuple(map(owner.__getitem__, sub)),
+                                []).append(sub)
+            for key, over in keys.items():
+                if len(over) > r:
+                    key = tuple(self.names[g] for g in key)
+                    raise FrValidationError(
+                        "intersection over %r splits into %d > r pieces"
+                        % (key, len(over)), key)
+            table.update(keys)
+            subs += (sub for sub, _ in level)
+        object.__setattr__(self, "_faces", table)
+        object.__setattr__(self, "_piece_faces", subs)
 
 
 def make_fr_family(base: BoxFamily, grouping, r) -> FrFamily:
@@ -353,7 +379,8 @@ def make_fr_family(base: BoxFamily, grouping, r) -> FrFamily:
 
     Within each group the pieces must be pairwise disjoint; for every
     subfamily of groups the nonempty piece-choice boxes must be pairwise
-    disjoint and number at most r.
+    disjoint and number at most r.  The count is checked by the walk that
+    fills the family's table (``FrFamily._walk``).
     """
     groups = tuple((g, tuple(pieces)) for g, pieces in grouping)
     all_pieces = [p for _, pieces in groups for p in pieces]
@@ -370,45 +397,31 @@ def make_fr_family(base: BoxFamily, grouping, r) -> FrFamily:
                 raise FrValidationError(
                     "pieces %r and %r of group %r overlap" % (a, b, g), (g,))
     fam = FrFamily(base.dimension, base, groups, int(r))
-    names = fam.names
-    # The walk visits subfamilies by size, then lexicographically, so the
-    # first violator is the first in that order.  Only the count needs
-    # checking: two different piece choices differ in some group, whose
-    # pieces are disjoint, so the choice boxes never overlap.
-    faces = []
-    for sub, boxes in _meet_walk(*fam._parts()):
-        if len(boxes) > r:
-            sub = tuple(names[i] for i in sub)
-            raise FrValidationError(
-                "intersection over %r splits into %d > r pieces"
-                % (sub, len(boxes)), sub)
-        faces.append(sub)
-    object.__setattr__(fam, "_faces", frozenset(faces))
+    # two different piece choices differ in some group, whose pieces are
+    # disjoint, so the choice boxes never overlap: only the count can fail
+    fam._walk(fam.r)
     return fam
 
 
-def pieces_projection(fr: FrFamily):
-    """The nerve of all pieces, partitioned by group, with its projection
-    report: the image must equal the nerve of the grouped family and the
-    fiber bound must be at most r."""
-    piece_order = [p for _, pieces in fr.groups for p in pieces]
-    piece_family = BoxFamily(fr.dimension,
-                             {p: fr.base.members[p] for p in piece_order})
-    X = nerve(piece_family)
-    parts = []
-    pos = {p: i for i, p in enumerate(piece_order)}
+def pieces_projection(fr: FrFamily, nv=None):
+    """The nerve X of all pieces, partitioned by group, with its projection
+    report: the image must equal ``nv``, the nerve of the grouped family
+    (built here if not given), and the fiber bound must be at most r.  X,
+    its simplex list and its sections (part i is group i) are the family's
+    table."""
+    sections = fr._nonempty()
+    names, parts = [], []
     for _, pieces in fr.groups:
-        parts.append(tuple(pos[p] for p in pieces))
+        parts.append(range(len(names), len(names) + len(pieces)))
+        names += pieces
+    X = SimplicialComplex(len(names), _closed_facets(fr._piece_faces),
+                          labels=names)
     px = make_partitioned(X, parts)
-    # part i is group i, so both complexes are on the group indices: the
-    # image is the nerve when the part sets of the simplices of X are the
-    # nonempty subfamilies of groups.  That always holds (a simplex of X
-    # holds at most one piece per group, since a group's pieces are
-    # disjoint, and groups meet iff some choice of one piece each does),
-    # so the comparison re-checks an identity.
-    owner = px.part_of()
-    matches = fr._nonempty() == {tuple(sorted(owner[v] for v in s))
-                                 for s in piece_family._nonempty()}
+    X._simplex_cache = [()] + fr._piece_faces
+    object.__setattr__(px, "_sections", sections)
+    # the image is always the nerve (see the README's Helly layer), so this
+    # re-checks an identity
+    matches = project(px) == (nerve(fr) if nv is None else nv)
     r_val, witness = fiber_bound(px)
     return px, {
         "claim": "pieces_projection",
@@ -420,11 +433,13 @@ def pieces_projection(fr: FrFamily):
     }
 
 
-def check_amenta(fr: FrFamily, cap=20):
+def check_amenta(fr: FrFamily, cap=MEMBER_CAP):
     """Verify h(G) <= r(d+1) and the full chain of inequalities
     h(G) <= 1 + L(image) <= 1 + r L(X) + r - 1 <= r(d+1)."""
-    report = helly_number(fr, cap)
-    px, proj_report = pieces_projection(fr)
+    _check_cap(fr.names, cap)
+    nv = nerve(fr)
+    report = helly_number(fr, cap, nv)
+    px, proj_report = pieces_projection(fr, nv)
     lx = leray_by_links(px.complex).value
     # the image is the nerve (see pieces_projection), so it has the nerve's
     # Leray number

@@ -36,7 +36,7 @@ from .leray import leray_by_links
 from .multiproj import (DEFAULT_MPC_SIMPLEX_GUARD, MultiPointComplex,
                         PartitionedComplex, _check_simplex_count,
                         _check_vertex_bound, _mpc_simplex_count,
-                        _section_table, project)
+                        _sections, project)
 
 
 def perm_sign(p):
@@ -299,7 +299,7 @@ def e1_page(px: PartitionedComplex,
     # X is enumerated under the guard after the k = 1 vertex bound, as
     # building M_1 would do
     _check_vertex_bound(px.parts, 1)
-    sections = _section_table(px, guard)
+    sections = _sections(px, guard)
     r = max(map(len, sections.values()), default=0)
     _refuse_over_guard(px, sections, r, guard)
     if px._e1_page is None:

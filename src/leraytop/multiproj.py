@@ -31,8 +31,11 @@ class PartitionedComplex:
     parts."""
     complex: SimplicialComplex
     parts: tuple
-    # The E1 page once icss.e1_page has computed it.  Like
-    # SimplicialComplex._simplex_cache it is not part of the value.
+    # The section table once _sections has built it, and the E1 page once
+    # icss.e1_page has computed it.  Like SimplicialComplex._simplex_cache
+    # they are not part of the value; callers never change them.
+    _sections: object = field(default=None, init=False, compare=False,
+                              repr=False)
     _e1_page: object = field(default=None, init=False, compare=False,
                              repr=False)
 
@@ -98,6 +101,17 @@ def _section_table(px: PartitionedComplex,
     return table
 
 
+def _sections(px: PartitionedComplex, guard=DEFAULT_SIMPLEX_GUARD) -> dict:
+    """The section table of ``px``, built on first use and kept on it.  X's
+    simplices are listed under ``guard`` on every call, so a smaller guard
+    still refuses as building the table would."""
+    if px._sections is None:
+        object.__setattr__(px, "_sections", _section_table(px, guard))
+    else:
+        px.complex.all_simplices(guard=guard)
+    return px._sections
+
+
 def _mpc_simplex_count(tables) -> int:
     """The number of nonempty simplices of the multiple-point complex of
     factors with these section tables: over each image simplex, the product
@@ -129,7 +143,7 @@ def fiber_bound(px: PartitionedComplex, guard=DEFAULT_SIMPLEX_GUARD):
     (dimension, lex) order, attaining r.  X's simplices are enumerated
     under ``guard``.
     """
-    table = _section_table(px, guard)
+    table = _sections(px, guard)
     if not table:
         return 0, None
     r = max(map(len, table.values()))
@@ -183,7 +197,7 @@ def generalized_mpc(pxs,
             raise ComplexError("factors have mismatched part structures")
     k = len(pxs)
     _check_vertex_bound(parts, k)
-    tables = [_section_table(px, guard) for px in pxs]
+    tables = [_sections(px, guard) for px in pxs]
     _check_simplex_count(_mpc_simplex_count(tables), guard)
     owner = pxs[0].part_of()
     simplices = []

@@ -1,23 +1,26 @@
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
-from leraytop import (AtomFamily, Box, BoxFamily, FrFamily, UnionFamily,
-                      check_amenta, check_hl, helly_number,
-                      helly_number_direct, leray_number, make_box,
-                      make_fr_family, nerve, pieces_projection, project,
+from leraytop import (AtomFamily, Box, BoxFamily, FrFamily,
+                      SimplicialComplex, UnionFamily, check_amenta, check_hl,
+                      fiber_bound, helly_number, helly_number_direct,
+                      leray_number, make_box, make_fr_family,
+                      make_partitioned, nerve, pieces_projection, project,
                       random_fr_family)
 from leraytop import helly as helly_mod
+from leraytop import multiproj
 from leraytop.core import _closed_facets, _maximal
 from leraytop.helly import (FamilyError, FrValidationError, box_meet,
                             boxes_disjoint, interval_family,
                             minimal_empty_subfamilies)
 from leraytop.rng import CounterRng
 
-from oracles import (atom_empty_by_sets, choice_boxes_by_product,
-                     make_fr_family_by_product, minimal_empty_by_scan,
-                     nerve_by_oracle)
+from oracles import (all_simplices_by_one_set, atom_empty_by_sets,
+                     choice_boxes_by_product, make_fr_family_by_product,
+                     minimal_empty_by_scan, nerve_by_oracle)
 
 
 def triangle_sides():
@@ -235,9 +238,8 @@ def test_nerve_facets_match_maximal(monkeypatch):
 
 
 def _kernel_counts(fr):
-    """{index tuple: number of choice boxes} of the family's walk."""
-    walk = helly_mod._meet_walk(*fr._parts())
-    return {sub: len(boxes) for sub, boxes in walk}
+    """{index tuple: number of choice boxes} of the family's table."""
+    return {sub: len(over) for sub, over in fr._nonempty().items()}
 
 
 def _small_box(rng, d, max_len=2):
@@ -302,6 +304,60 @@ def test_box_and_union_emptiness_match_product(seed):
                 for listed in _name_lists(rng, names, sub):
                     assert family.is_empty_intersection(listed) == \
                         _empty_by_product(members, listed)
+
+
+def _mixed_box(rng, d):
+    """Endpoints k/q with q in (1, 2, 3, 4, 6), from -2 to 6: negative,
+    mixed denominators, one value reached by several of them (1/2 as 2/4
+    and 3/6), and length 0 to 4, so points and touching boxes are
+    common."""
+    out = []
+    for _ in range(d):
+        q = (1, 2, 3, 4, 6)[rng.randint(5)]
+        lo = Fraction(rng.randint(4 * q + 1) - 2 * q, q)
+        q = (1, 2, 3, 4, 6)[rng.randint(5)]
+        out.append((lo, lo + Fraction(rng.randint(4 * q + 1), q)))
+    return Box(tuple(out))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_emptiness_matches_product_on_mixed_denominators(seed):
+    rng = CounterRng(seed + 800)
+    d = 1 + seed % 3
+    boxes = {"m%d" % i: _mixed_box(rng, d) for i in range(5)}
+    unions = {"m%d" % i: tuple(_mixed_box(rng, d)
+                               for _ in range(rng.randint(4)))
+              for i in range(5)}
+    base = {}
+    grouping = []
+    for gi in range(4):
+        pieces = []
+        for pi in range(1 + rng.randint(2)):
+            box = _mixed_box(rng, d)
+            while not all(boxes_disjoint(box, base[p]) for p in pieces):
+                box = _mixed_box(rng, d)
+            pieces.append("F%d_%d" % (gi, pi))
+            base[pieces[-1]] = box
+        grouping.append(("G%d" % gi, tuple(pieces)))
+    base = BoxFamily(d, base)
+    fr = _validation_outcome(make_fr_family, base, grouping)
+    assert fr == _validation_outcome(make_fr_family_by_product, base,
+                                     grouping)
+    draws = [(BoxFamily(d, boxes), {k: (b,) for k, b in boxes.items()}),
+             (UnionFamily(d, unions), unions)]
+    if isinstance(fr, FrFamily):
+        draws.append((fr, {g: [base.members[p] for p in pieces]
+                           for g, pieces in fr.groups}))
+        counts = _kernel_counts(fr)
+    for family, members in draws:
+        for size in range(1, len(family.names) + 1):
+            for sub in combinations(range(len(family.names)), size):
+                listed = [family.names[i] for i in sub]
+                assert family.is_empty_intersection(listed) == \
+                    _empty_by_product(members, listed)
+                if family is fr:
+                    assert counts.get(sub, 0) == len(
+                        choice_boxes_by_product(fr, listed))
 
 
 def _raw_draw(seed):
@@ -397,9 +453,10 @@ def test_check_amenta_builds_each_complex_once(monkeypatch):
     fr = random_fr_family(1, 4, 2, 3)
     rep = check_amenta(fr)
     assert rep["projection"]["image_matches_nerve"]
-    # the nerve of the groups and the nerve of the pieces; the image is the
-    # nerve, so it is never built and only the nerve and X need a Leray scan
-    assert calls == {"nerve": 2, "leray_by_links": 2}
+    # the nerve of the groups, shared by the Helly number and the image
+    # check; X comes from the walk's table, not from nerve.  The image is
+    # the nerve, so only the nerve and X need a Leray scan
+    assert calls == {"nerve": 1, "leray_by_links": 2}
     calls.clear()
     helly_number(fr)
     assert calls == {"nerve": 1, "leray_by_links": 1}
@@ -488,3 +545,81 @@ def test_all_empty_families_match_references():
     minimal = _assert_matches_references(
         fam, lambda sub: atom_empty_by_sets(fam, sub))
     assert minimal == [("a",), ("b",)]
+
+
+# -- the pieces complex, its simplex list and fiber bound against references
+
+
+def _empty_by_prefix(boxes):
+    """Emptiness of a name list by box_meet, for ``nerve_by_oracle``, which
+    asks about every list after its prefix: the prefix's meet, kept, met
+    with the last box."""
+    meets = {}
+
+    def is_empty(names):
+        names = tuple(names)
+        if len(names) == 1:
+            meets[names] = boxes[names[0]]
+        elif meets[names[:-1]] is None:
+            meets[names] = None
+        else:
+            meets[names] = box_meet([meets[names[:-1]], boxes[names[-1]]])
+        return meets[names] is None
+    return is_empty
+
+
+def _assert_pieces_complex_matches_references(fr):
+    """X of ``pieces_projection`` is the nerve of the pieces by box_meet
+    alone; its stored simplex list and the report's fiber bound and witness
+    are those of a fresh copy of X."""
+    px, rep = pieces_projection(fr)
+    X = px.complex
+    pieces = [p for _, ps in fr.groups for p in ps]
+    ref = nerve_by_oracle(pieces, _empty_by_prefix(fr.base.members))
+    assert (X.vertex_count, X.facets, X.labels) == \
+        (ref.vertex_count, ref.facets, ref.labels)
+    fresh = SimplicialComplex(X.vertex_count, X.facets)
+    assert X.all_simplices(include_empty=True) == \
+        all_simplices_by_one_set(fresh)
+    assert (rep["fiber_bound"], rep["fiber_witness"]) == \
+        fiber_bound(make_partitioned(fresh, px.parts))
+    assert rep["image_matches_nerve"] and project(px) == nerve(fr)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_pieces_complex_matches_references(d):
+    # 4-6 groups, r = 1..3
+    for seed in range(12):
+        _assert_pieces_complex_matches_references(random_fr_family(
+            d, 4 + seed % 3, 1 + seed // 3 % 3, seed + 100 * d))
+
+
+def _bench_families(monkeypatch):
+    """The grouped families of the helly-amenta benchmark's default seed,
+    built as the benchmark builds them, with the number of walks made by
+    building and checking them."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    wl = workloads.HellyAmenta()
+    texts = wl.generate(0)
+    calls = {}
+    _count_calls(monkeypatch, helly_mod, "_meet_walk", calls)
+    _count_calls(monkeypatch, multiproj, "_section_table", calls)
+    return [wl.run(text).keep["fr"] for text in texts], calls
+
+
+def test_bench_pieces_complexes_match_references(monkeypatch):
+    families, _ = _bench_families(monkeypatch)
+    assert len(families) == 35
+    for fr in families:
+        _assert_pieces_complex_matches_references(fr)
+
+
+def test_helly_amenta_walks_once_per_family(monkeypatch):
+    # the validation walk's table gives the nerve, the pieces complex X,
+    # its simplex list and its section table: no second walk, and no
+    # section table built from X
+    families, calls = _bench_families(monkeypatch)
+    assert len(families) == 35
+    assert calls == {"_meet_walk": 35}

@@ -1,5 +1,6 @@
 import json
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -341,6 +342,24 @@ def test_cli_icss_builds_one_page(monkeypatch, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["holds"]
     assert len(columns) == fiber_bound(px)[0] + 1
     assert not built and not scanned
+
+
+def test_icss_e1_builds_one_section_table_per_complex(monkeypatch):
+    # the page's checks and M_2 read the table stored on px: one build for
+    # each instance of the icss-e1 benchmark's default seed, refused ones
+    # included
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    wl = workloads.IcssE1()
+    texts = wl.generate(0)
+    built = []
+    inner = multiproj._section_table
+    monkeypatch.setattr(multiproj, "_section_table",
+                        lambda px, guard: built.append(px) or inner(px, guard))
+    outcomes = [workloads.attempt(wl, text)[0] for text in texts]
+    assert len(texts) == 10 and "refused" in outcomes
+    assert len(built) == len({id(px) for px in built}) == len(texts)
 
 
 def test_check_proof_vanishing_leray_scan_honours_the_guard(monkeypatch):

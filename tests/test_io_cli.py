@@ -303,6 +303,23 @@ def test_cli_check_amenta_file_points_to_amenta(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_amenta_refuses_an_over_cap_family_before_walking(
+        tmp_path, capsys, monkeypatch):
+    # 21 groups that all contain 0: every subfamily meets, so a validation
+    # walk would visit all 2^21 - 1 of them before the cap refused
+    from leraytop import helly
+    walks = []
+    inner = helly._meet_walk
+    monkeypatch.setattr(helly, "_meet_walk",
+                        lambda *args: walks.append(1) or inner(*args))
+    f = tmp_path / "family.json"
+    f.write_text(json.dumps({"d": 1, "members": {
+        "G%d" % i: [[["-1", "1"]]] for i in range(21)}}))
+    assert cli.run(["amenta", str(f)]) == 2
+    assert capsys.readouterr().err == "error: family size 21 exceeds cap 20\n"
+    assert not walks
+
+
 def test_cli_non_object_members_on_stdin_exits_2():
     proc = subprocess.run([sys.executable, "-m", "leraytop.cli", "helly", "-"],
                           input='{"d":1,"members":[1]}', capture_output=True,

@@ -141,6 +141,28 @@ def test_e1_page_passes_its_guard_to_the_section_table():
         e1_page(padded, guard=3_000_000)
 
 
+def test_section_table_is_built_once_and_keeps_the_guard(monkeypatch):
+    # fiber_bound, generalized_mpc and e1_page share the table stored on
+    # px, and each still refuses a guard below X's simplex count, as
+    # building the table would
+    px = extremal_example(2, 2)
+    n = len(px.complex.all_simplices(include_empty=True))
+    built = []
+    inner = multiproj._section_table
+    monkeypatch.setattr(multiproj, "_section_table",
+                        lambda *args: built.append(1) or inner(*args))
+    fiber_bound(px)
+    generalized_mpc([px, px])
+    e1_page(px)
+    assert len(built) == 1
+    for call in (fiber_bound, e1_page,
+                 lambda px, guard: generalized_mpc([px, px], guard)):
+        with pytest.raises(GuardExceeded, match="^simplex enumeration "
+                                                "exceeds guard %d$" % (n - 1)):
+            call(px, guard=n - 1)
+    assert len(built) == 1
+
+
 def test_fiber_bound_one_means_iso():
     for seed in range(5):
         px = random_partitioned_complex(4, [2, 1, 2, 1], 2, 0.5, seed)
