@@ -21,7 +21,7 @@ from . import helly as helly_mod
 from . import icss as icss_mod
 from . import io_json
 from .core import ComplexError, GuardExceeded
-from .homology import euler_characteristic, reduced_betti
+from .homology import reduced_betti, unreduced_betti
 from .leray import (DEFAULT_DEFINITION_CAP, leray_by_definition,
                     leray_by_links)
 from .multiproj import (check_intersection_bound, check_mps_vanishing,
@@ -125,7 +125,7 @@ def _hl_instance(seed):
 
 # the claim a batch report names when a guard refuses an instance
 _SKIP_CLAIMS = {"lproj": "projection_bound", "hmps": "mps_vanishing",
-                "inter": "intersection_bound", "icss": "e1_consistency"}
+                "inter": "intersection_bound", "icss": "e1_euler_consistency"}
 
 
 def _run_check_instance(kind, seed, args):
@@ -145,6 +145,8 @@ def _run_check_instance(kind, seed, args):
         elif kind == "hl":
             reports.append(helly_mod.check_hl(_hl_instance(seed)))
         elif kind == "amenta":
+            # refuse an over-cap family before drawing it
+            helly_mod._check_cap(range(args.groups), helly_mod.MEMBER_CAP)
             fr = helly_mod.random_fr_family(args.d, args.groups, args.r, seed)
             reports.append(helly_mod.check_amenta(fr))
         elif kind == "icss":
@@ -242,9 +244,10 @@ def _cmd_icss(args):
     page = icss_mod.e1_page(px, guard=args.guard)
     euler = icss_mod.check_euler(px, guard=args.guard)
     vanish = icss_mod.check_proof_vanishing(px, guard=args.guard)
+    image = unreduced_betti(project(px), guard=args.guard)
     table = [[p, q, n] for (p, q), n in sorted(page.table.items())]
     report = {"command": "icss", "r": page.r, "table": table,
-              "image_betti": list(page.image_betti),
+              "image_betti": list(image),
               "extra_column_zero": page.extra_column_zero,
               "euler_consistent": euler["holds"],
               "proof_region_vanishing": vanish["holds"],

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import inf, lcm
+from math import lcm
 
 from .core import SimplicialComplex, _closed_facets
 from .leray import leray_by_links
@@ -138,14 +138,14 @@ def _meet_walk(parts, meet):
 
 
 class _WalkFamily:
-    """A family that keeps one thing: its nonempty subfamilies as sorted
-    index tuples over ``names`` (a grouped family's are the keys of its
-    table), which are the simplices of its nerve.  They come from one
-    ``_meet_walk`` on first use (``_walk``).  Box families scale
-    ``_member_boxes()`` (one list of boxes per member, in ``names`` order)
-    to integers.
+    """A family that keeps its nonempty subfamilies as sorted index tuples
+    over ``names`` (a grouped family's are the keys of its table), which
+    are the simplices of its nerve, and the nerve once ``nerve`` has built
+    it.  The subfamilies come from one ``_meet_walk`` on first use
+    (``_walk``).  Box families scale ``_member_boxes()`` (one list of boxes
+    per member, in ``names`` order) to integers.
     """
-    _faces = None
+    _faces = _nerve = None
 
     def _parts(self):
         return _scaled(self.dimension, self._member_boxes()), _meet_scaled
@@ -205,14 +205,16 @@ class AtomFamily(_WalkFamily):
 
 def nerve(family) -> SimplicialComplex:
     """The nerve: one vertex per member, a simplex per subfamily with
-    nonempty intersection.  Vertex labels carry the member names."""
-    faces = family._nonempty()
-    if not faces:
-        return SimplicialComplex(0, ())
-    # every face of an intersecting subfamily intersects, so the set is
-    # closed under nonempty faces
-    return SimplicialComplex(len(family.names), _closed_facets(faces),
-                             labels=family.names)
+    nonempty intersection.  Vertex labels carry the member names.  It is
+    built on first use and kept on the family."""
+    if family._nerve is None:
+        faces = family._nonempty()
+        # every face of an intersecting subfamily intersects, so the set is
+        # closed under nonempty faces
+        object.__setattr__(family, "_nerve", SimplicialComplex(
+            len(family.names), _closed_facets(faces), labels=family.names)
+            if faces else SimplicialComplex(0, ()))
+    return family._nerve
 
 
 @dataclass(frozen=True)
@@ -252,10 +254,9 @@ def minimal_empty_subfamilies(family, cap=MEMBER_CAP):
     return [tuple(names[i] for i in c) for c in out]
 
 
-def helly_number(family, cap=MEMBER_CAP, nv=None) -> HellyReport:
+def helly_number(family, cap=MEMBER_CAP) -> HellyReport:
     """The Helly number: the largest minimal empty-intersection subfamily
-    (or 1 if all intersections are nonempty), plus the nerve-Leray bound.
-    ``nv`` is the family's nerve, if the caller has built it."""
+    (or 1 if all intersections are nonempty), plus the nerve-Leray bound."""
     minimal = minimal_empty_subfamilies(family, cap)
     if minimal:
         witness = max(minimal, key=len)
@@ -263,7 +264,7 @@ def helly_number(family, cap=MEMBER_CAP, nv=None) -> HellyReport:
     else:
         witness = ()
         h = 1
-    nl = leray_by_links(nerve(family) if nv is None else nv).value
+    nl = leray_by_links(nerve(family)).value
     return HellyReport(h, witness, nl, 1 + nl)
 
 
@@ -294,9 +295,9 @@ def helly_number_direct(family, cap=12) -> int:
     return n
 
 
-def check_hl(family, cap=MEMBER_CAP):
+def check_hl(family):
     """Verify the nerve-Leray bound on the Helly number."""
-    report = helly_number(family, cap=cap)
+    report = helly_number(family)
     return {
         "claim": "helly_leray_bound",
         "helly": report.helly_number,
@@ -335,7 +336,8 @@ class FrValidationError(FamilyError):
 @dataclass(frozen=True)
 class FrFamily(_WalkFamily):
     """Members G_i, each a disjoint union of at most r base boxes (pieces);
-    every subfamily intersection decomposes into at most r disjoint boxes."""
+    every subfamily intersection decomposes into at most r disjoint boxes,
+    which the walk checks on first use."""
     dimension: int
     base: object                 # BoxFamily of all pieces
     groups: tuple                # ((group name, (piece names...)), ...)
@@ -349,7 +351,7 @@ class FrFamily(_WalkFamily):
     def names(self):
         return tuple(g for g, _ in self.groups)
 
-    def _walk(self, r=inf):
+    def _walk(self):
         """Walk the pieces in group-major order; after each size, raise for
         the first subfamily of groups over which more than r meet.  A
         group's pieces are disjoint, so the groups of the pieces that meet
@@ -363,7 +365,7 @@ class FrFamily(_WalkFamily):
                 keys.setdefault(tuple(map(owner.__getitem__, sub)),
                                 []).append(sub)
             for key, over in keys.items():
-                if len(over) > r:
+                if len(over) > self.r:
                     key = tuple(self.names[g] for g in key)
                     raise FrValidationError(
                         "intersection over %r splits into %d > r pieces"
@@ -399,16 +401,15 @@ def make_fr_family(base: BoxFamily, grouping, r) -> FrFamily:
     fam = FrFamily(base.dimension, base, groups, int(r))
     # two different piece choices differ in some group, whose pieces are
     # disjoint, so the choice boxes never overlap: only the count can fail
-    fam._walk(fam.r)
+    fam._walk()
     return fam
 
 
-def pieces_projection(fr: FrFamily, nv=None):
+def pieces_projection(fr: FrFamily):
     """The nerve X of all pieces, partitioned by group, with its projection
-    report: the image must equal ``nv``, the nerve of the grouped family
-    (built here if not given), and the fiber bound must be at most r.  X,
-    its simplex list and its sections (part i is group i) are the family's
-    table."""
+    report: the image must equal the nerve of the grouped family, and the
+    fiber bound must be at most r.  X, its simplex list and its sections
+    (part i is group i) are the family's table."""
     sections = fr._nonempty()
     names, parts = [], []
     for _, pieces in fr.groups:
@@ -421,7 +422,7 @@ def pieces_projection(fr: FrFamily, nv=None):
     object.__setattr__(px, "_sections", sections)
     # the image is always the nerve (see the README's Helly layer), so this
     # re-checks an identity
-    matches = project(px) == (nerve(fr) if nv is None else nv)
+    matches = project(px) == nerve(fr)
     r_val, witness = fiber_bound(px)
     return px, {
         "claim": "pieces_projection",
@@ -433,13 +434,11 @@ def pieces_projection(fr: FrFamily, nv=None):
     }
 
 
-def check_amenta(fr: FrFamily, cap=MEMBER_CAP):
+def check_amenta(fr: FrFamily):
     """Verify h(G) <= r(d+1) and the full chain of inequalities
     h(G) <= 1 + L(image) <= 1 + r L(X) + r - 1 <= r(d+1)."""
-    _check_cap(fr.names, cap)
-    nv = nerve(fr)
-    report = helly_number(fr, cap, nv)
-    px, proj_report = pieces_projection(fr, nv)
+    report = helly_number(fr)
+    px, proj_report = pieces_projection(fr)
     lx = leray_by_links(px.complex).value
     # the image is the nerve (see pieces_projection), so it has the nerve's
     # Leray number
@@ -468,19 +467,20 @@ def check_amenta(fr: FrFamily, cap=MEMBER_CAP):
 # -- generators ----------------------------------------------------------
 
 
-def _random_box(rng: CounterRng, d, span=12, max_len=5):
+def _random_box(rng: CounterRng, d):
+    """Half-integer corners: each axis starts below 12, is 1/2 to 5 long."""
     out = []
     for _ in range(d):
-        lo = Fraction(rng.randint(2 * span), 2)
-        length = Fraction(1 + rng.randint(2 * max_len), 2)
+        lo = Fraction(rng.randint(24), 2)
+        length = Fraction(1 + rng.randint(10), 2)
         out.append((lo, lo + length))
     return Box(tuple(out))
 
 
-def random_fr_family(d, n_groups, r, seed, max_attempts=200) -> FrFamily:
-    """Deterministic valid grouped family: resamples (seeded) until the
-    at-most-r disjoint-pieces property validates."""
-    for attempt in range(max_attempts):
+def random_fr_family(d, n_groups, r, seed) -> FrFamily:
+    """Deterministic valid grouped family: resamples (seeded), up to 200
+    times, until the at-most-r disjoint-pieces property validates."""
+    for attempt in range(200):
         rng = CounterRng((seed << 16) + attempt)
         base_members = {}
         grouping = []

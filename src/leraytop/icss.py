@@ -31,7 +31,7 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .core import ComplexError, GuardExceeded, SimplicialComplex, _maximal
-from .homology import euler_characteristic, rank_of_rows, unreduced_betti
+from .homology import euler_characteristic, rank_of_rows
 from .leray import leray_by_links
 from .multiproj import (DEFAULT_MPC_SIMPLEX_GUARD, MultiPointComplex,
                         PartitionedComplex, _check_simplex_count,
@@ -48,19 +48,13 @@ def perm_sign(p):
 
 
 def _sort_sign(values):
-    """Sign of the permutation sorting a list of distinct values, or 0 on a
-    repeat."""
-    sign = 1
+    """Sign of the permutation sorting a list of distinct values (the
+    parity of its inversions), or 0 on a repeat."""
     vals = list(values)
-    for i in range(len(vals)):
-        m = min(range(i, len(vals)), key=lambda j: vals[j])
-        if m != i:
-            vals[i], vals[m] = vals[m], vals[i]
-            sign = -sign
-    for a, b in zip(vals, vals[1:]):
-        if a == b:
-            return 0
-    return sign
+    if len(set(vals)) < len(vals):
+        return 0
+    inversions = sum(a > b for i, a in enumerate(vals) for b in vals[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -200,7 +194,6 @@ class E1Page:
     the alternating homology of the (p+1)-fold multiple-point complex."""
     r: int
     table: dict           # (p, q) -> natural, for 0 <= p <= r-1
-    image_betti: tuple
     extra_column_zero: bool
 
     def entry(self, p, q):
@@ -311,10 +304,9 @@ def e1_page(px: PartitionedComplex,
                                                     top)):
                 table[(p, q)] = n
         extra = _closed_alt_betti(sections, faces, r + 1, top)
-        image = unreduced_betti(project(px))
         # PartitionedComplex is frozen; the page is not part of its value
         object.__setattr__(px, "_e1_page", E1Page(
-            r, table, image, all(n == 0 for n in extra)))
+            r, table, all(n == 0 for n in extra)))
     return px._e1_page
 
 

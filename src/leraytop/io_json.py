@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .core import ComplexError, SimplicialComplex, make_complex
-from .helly import FamilyError, make_box
+from .helly import Box, FamilyError
 from .multiproj import PartitionedComplex, make_partitioned
 
 
@@ -136,9 +136,9 @@ def family_from_json(text: str):
                 raise FormatError("box %r of member %r must have %d "
                                   "[lo, hi] axes" % (b, name, d))
             try:
-                parsed.append(make_box(
-                    [(parse_rational(lo), parse_rational(hi))
-                     for lo, hi in b]))
+                parsed.append(Box(tuple(
+                    (parse_rational(lo), parse_rational(hi))
+                    for lo, hi in b)))
             except FamilyError as exc:
                 raise FormatError("bad box in member %r: %s"
                                   % (name, exc)) from None

@@ -13,7 +13,6 @@ from leraytop import (ComplexError, SimplicialComplex, boundary_complex, join,
 from leraytop.core import _closed_facets, as_simplex
 from leraytop.helly import (FamilyError, FrFamily, FrValidationError,
                             box_meet, boxes_disjoint)
-from leraytop.homology import unreduced_betti
 from leraytop.icss import E1Page, alt_betti
 from leraytop.multiproj import (DEFAULT_MPC_SIMPLEX_GUARD, MultiPointComplex,
                                 _check_simplex_count, _check_vertex_bound,
@@ -303,8 +302,7 @@ def e1_page_by_building(px, guard=DEFAULT_MPC_SIMPLEX_GUARD):
             table[(p, q)] = n
     M_extra = multiple_point_complex(px, r + 1, guard=guard)
     extra = alt_betti(M_extra, guard=guard)
-    image = unreduced_betti(project(px))
-    return E1Page(r, table, image, all(n == 0 for n in extra))
+    return E1Page(r, table, all(n == 0 for n in extra))
 
 
 def choice_boxes_by_product(fr, names):

@@ -15,7 +15,8 @@ from leraytop import (boundary_complex, check_amenta, check_hl,
                       check_intersection_bound, check_mps_vanishing,
                       check_projection_theorem, extremal_example, fiber_bound,
                       helly_number, leray_by_definition, leray_by_links,
-                      make_complex, project, random_fr_family, reduced_betti)
+                      make_complex, project, random_fr_family, reduced_betti,
+                      unreduced_betti)
 from leraytop.cli import _hmps_instances, _inter_instances, _lproj_instance
 from leraytop.core import GuardExceeded, clique_complex, is_chordal
 from leraytop.helly import AtomFamily, interval_family
@@ -143,7 +144,8 @@ def test_criterion_08_icss_consistency():
     page = e1_page(micro)
     micro_ok = ({pq: n for pq, n in page.table.items() if n}
                 == {(0, 0): 2, (1, 0): 1}
-                and page.signed_sum() == 1 and page.image_betti == (1,)
+                and page.signed_sum() == 1
+                and unreduced_betti(project(micro)) == (1,)
                 and page.extra_column_zero)
     checked = skipped = violations = 0
     for seed in range(100):

@@ -162,6 +162,24 @@ def test_make_fr_family_rejects_too_many_intersection_pieces():
     assert err.value.subfamily == ("G1", "G2")
 
 
+def test_directly_built_fr_family_validates_on_first_use():
+    # over {G1, G2} the meet splits into 3 > r = 2 pieces, which the walk
+    # finds however the family was built
+    base = BoxFamily(1, {
+        "F1a": make_box([(0, 3)]), "F1b": make_box([(4, 9)]),
+        "F2a": make_box([(2, 5)]), "F2b": make_box([(6, 7)]),
+    })
+    groups = (("G1", ("F1a", "F1b")), ("G2", ("F2a", "F2b")))
+    with pytest.raises(FrValidationError) as made:
+        make_fr_family(base, groups, 2)
+    for use in (nerve, lambda fr: fr.is_empty_intersection(["G1"]),
+                check_amenta):
+        with pytest.raises(FrValidationError) as err:
+            use(FrFamily(1, base, groups, 2))
+        assert str(err.value) == str(made.value)
+        assert err.value.subfamily == ("G1", "G2")
+
+
 def test_pieces_projection_examples():
     single = make_fr_family(
         BoxFamily(1, {"Fa": make_box([(0, 2)]), "Fb": make_box([(1, 3)])}),
@@ -448,18 +466,19 @@ def _count_calls(monkeypatch, module, name, calls):
 
 def test_check_amenta_builds_each_complex_once(monkeypatch):
     calls = {}
-    for name in ("nerve", "leray_by_links"):
+    for name in ("_closed_facets", "leray_by_links"):
         _count_calls(monkeypatch, helly_mod, name, calls)
     fr = random_fr_family(1, 4, 2, 3)
     rep = check_amenta(fr)
     assert rep["projection"]["image_matches_nerve"]
-    # the nerve of the groups, shared by the Helly number and the image
-    # check; X comes from the walk's table, not from nerve.  The image is
-    # the nerve, so only the nerve and X need a Leray scan
-    assert calls == {"nerve": 1, "leray_by_links": 2}
+    # two builds: the nerve of the groups, kept on the family for the Helly
+    # number and the image check, and X, from the walk's table.  The image
+    # is the nerve, so only the nerve and X need a Leray scan
+    assert calls == {"_closed_facets": 2, "leray_by_links": 2}
     calls.clear()
-    helly_number(fr)
-    assert calls == {"nerve": 1, "leray_by_links": 1}
+    assert helly_number(fr).helly_number == rep["helly"]
+    assert calls == {"leray_by_links": 1}
+    assert nerve(fr) is nerve(fr)
 
 
 def test_union_family_checks_dimension():

@@ -320,6 +320,22 @@ def test_cli_amenta_refuses_an_over_cap_family_before_walking(
     assert not walks
 
 
+@pytest.mark.parametrize("argv", (["amenta"], ["check", "amenta"]))
+def test_cli_amenta_batch_refuses_over_cap_groups_before_drawing(
+        argv, capsys, monkeypatch):
+    from leraytop import helly
+    draws = []
+    inner = helly.random_fr_family
+    monkeypatch.setattr(helly, "random_fr_family",
+                        lambda *args: draws.append(1) or inner(*args))
+    assert cli.run(argv + ["--groups", "21", "--count", "1"]) == 2
+    assert capsys.readouterr().err == "error: family size 21 exceeds cap 20\n"
+    assert not draws
+    # at the cap the batch draws as before
+    assert cli.run(argv + ["--groups", "20", "--r", "1", "--count", "1"]) == 0
+    assert draws == [1]
+
+
 def test_cli_non_object_members_on_stdin_exits_2():
     proc = subprocess.run([sys.executable, "-m", "leraytop.cli", "helly", "-"],
                           input='{"d":1,"members":[1]}', capture_output=True,
@@ -414,7 +430,8 @@ def test_cli_guard_is_not_an_option_of(command, tmp_path):
 
 
 @pytest.mark.parametrize("kind,claim", [("lproj", "projection_bound"),
-                                        ("inter", "intersection_bound")])
+                                        ("inter", "intersection_bound"),
+                                        ("icss", "e1_euler_consistency")])
 def test_cli_check_batch_passes_the_guard(kind, claim, capsys):
     assert cli.run(["check", kind, "--count", "2", "--guard", "5"]) == 0
     captured = capsys.readouterr()
