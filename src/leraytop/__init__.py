@@ -7,9 +7,9 @@ symmetric-group action, and Helly-number verification for box families.
 
 from .core import (ComplexError, GuardExceeded, OrderComplex,
                    SimplicialComplex, boundary_complex, clique_complex,
-                   empty_complex, induced, intersection, is_chordal,
-                   is_isomorphism, join, link, make_complex, solid_simplex,
-                   subdivision, union, void_complex)
+                   empty_complex, induced, intersection, is_chordal, join,
+                   link, make_complex, solid_simplex, subdivision, union,
+                   void_complex)
 from .homology import (BettiVector, ChainBoundary, boundary_matrices,
                        euler_characteristic, reduced_betti, unreduced_betti)
 from .leray import (LerayCertificate, check_chordal_characterization,
@@ -19,13 +19,13 @@ from .multiproj import (MultiPointComplex, PartitionedComplex,
                         check_projection_theorem, extremal_example,
                         fiber_bound, generalized_mpc, make_partitioned,
                         multiple_point_complex, project,
-                        random_partitioned_complex, tilde_closure)
+                        random_partitioned_complex)
 from .icss import (AltChainComplex, E1Page, alt_betti, alt_chain_complex,
                    check_alt_chain_iso, check_euler, check_proof_vanishing,
                    double_point_closure, e1_page, sym_action)
-from .helly import (AtomFamily, Box, BoxFamily, FrFamily, HellyReport,
-                    UnionFamily, check_amenta, check_hl, helly_number,
-                    helly_number_direct, make_box, make_fr_family, nerve,
-                    pieces_projection, random_fr_family)
+from .helly import (Box, BoxFamily, FrFamily, HellyReport, UnionFamily,
+                    check_amenta, check_hl, helly_number, helly_number_direct,
+                    make_box, make_fr_family, nerve, pieces_projection,
+                    random_fr_family)
 
 __version__ = "0.1.0"

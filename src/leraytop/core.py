@@ -79,19 +79,15 @@ def _closed_facets(simplices) -> frozenset:
 class SimplicialComplex:
     """A finite abstract simplicial complex, stored by its facets.
 
-    ``labels`` optionally names the vertices for reports; ``parent_map``
-    records, for complexes derived by re-indexing (induced subcomplexes),
-    the original id of each local vertex.
+    ``labels`` optionally names the vertices for reports.
     """
 
-    __slots__ = ("vertex_count", "facets", "labels", "parent_map",
-                 "_simplex_cache")
+    __slots__ = ("vertex_count", "facets", "labels", "_simplex_cache")
 
-    def __init__(self, vertex_count, facets, labels=None, parent_map=None):
+    def __init__(self, vertex_count, facets, labels=None):
         self.vertex_count = int(vertex_count)
         self.facets = frozenset(tuple(f) for f in facets)
         self.labels = tuple(labels) if labels is not None else None
-        self.parent_map = tuple(parent_map) if parent_map is not None else None
         self._simplex_cache = None
 
     # -- basic queries -------------------------------------------------
@@ -152,32 +148,11 @@ class SimplicialComplex:
             return out[1:]
         return out
 
-    def f_vector(self):
-        """Face counts (f_0, f_1, ...); empty tuple for void/empty complexes."""
-        counts = {}
-        for s in self.all_simplices():
-            counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
-        if not counts:
-            return ()
-        return tuple(counts.get(q, 0) for q in range(max(counts) + 1))
-
     def used_vertices(self):
         out = set()
         for f in self.facets:
             out.update(f)
         return out
-
-    def relabel(self, mapping):
-        """Image under a vertex bijection given as a sequence new_id[old_id]."""
-        if sorted(mapping) != list(range(self.vertex_count)):
-            raise ComplexError("mapping is not a bijection of the vertex table")
-        facets = [tuple(sorted(mapping[v] for v in f)) for f in self.facets]
-        labels = None
-        if self.labels is not None:
-            labels = [None] * self.vertex_count
-            for old, lab in enumerate(self.labels):
-                labels[mapping[old]] = lab
-        return SimplicialComplex(self.vertex_count, facets, labels=labels)
 
     # -- value semantics ----------------------------------------------
 
@@ -235,17 +210,18 @@ def solid_simplex(vertices):
 
 
 def induced(X, S):
-    """Induced subcomplex X[S], re-indexed; parent ids kept in parent_map."""
+    """Induced subcomplex X[S], re-indexed: local vertex i is the i-th
+    smallest id of S."""
     S = sorted(set(S))
     for v in S:
         if not (0 <= v < X.vertex_count):
             raise ComplexError("unknown vertex id %d" % v)
     idx = {v: i for i, v in enumerate(S)}
     if X.is_void():
-        return SimplicialComplex(len(S), (), parent_map=S)
+        return SimplicialComplex(len(S), ())
     sset = set(S)
     cands = {tuple(idx[v] for v in f if v in sset) for f in X.facets}
-    return SimplicialComplex(len(S), _maximal(cands), parent_map=S)
+    return SimplicialComplex(len(S), _maximal(cands))
 
 
 def link(X, A):
@@ -489,15 +465,3 @@ def is_chordal(edges, n=None):
         if not (earlier - {w}) <= adj[w]:
             return False
     return True
-
-
-def is_isomorphism(X, Y, vertex_map) -> bool:
-    """Check that vertex_map (old id -> new id) is a simplicial isomorphism
-    between the used vertices of X and Y."""
-    used_x = sorted(X.used_vertices())
-    used_y = sorted(Y.used_vertices())
-    images = [vertex_map[v] for v in used_x]
-    if sorted(images) != used_y:
-        return False
-    mapped = {tuple(sorted(vertex_map[v] for v in f)) for f in X.facets}
-    return mapped == set(Y.facets)

@@ -4,9 +4,7 @@ for the r(d+1) Helly bound.
 
 Geometry is restricted to axis-parallel boxes with rational corners:
 intersections are computed exactly and every nonempty intersection is again
-a box (convex), so box families are automatically good covers.  Atom
-families are a combinatorial stand-in when only the intersection pattern
-matters.
+a box (convex), so box families are automatically good covers.
 """
 from __future__ import annotations
 
@@ -101,20 +99,14 @@ def _meet_scaled(a, b):
     return tuple(out)
 
 
-def _meet_sets(a, b):
-    """Meet of two atom sets; None if empty."""
-    return a & b or None
-
-
-def _meet_walk(parts, meet):
+def _meet_walk(parts):
     """Yield, size by size, the list of ``(sub, meets)`` for every
     subfamily of that size with nonempty intersection, in lexicographic
-    order of the index tuple ``sub``.  ``parts`` holds one list of parts per
-    member (the member is their union) and ``meet(a, b)`` is the
-    intersection of two parts, or None if it is empty; ``meets`` are the
-    nonempty meets of one part per member of ``sub``.
+    order of the index tuple ``sub``.  ``parts`` holds one list of scaled
+    boxes (``_scaled``) per member, the member being their union; ``meets``
+    are the nonempty meets of one box per member of ``sub``.
 
-    An entry is its prefix ``sub[:-1]``'s meets met with each part of its
+    An entry is its prefix ``sub[:-1]``'s meets met with each box of its
     last member, and a subfamily with an empty prefix is empty, so it is
     never visited.  Only the current and the next size are held, and the
     next is met only when the caller asks for it.
@@ -129,7 +121,7 @@ def _meet_walk(parts, meet):
                 meets = []
                 for a in acc:
                     for b in parts[j]:
-                        m = meet(a, b)
+                        m = _meet_scaled(a, b)
                         if m is not None:
                             meets.append(m)
                 if meets:
@@ -142,17 +134,15 @@ class _WalkFamily:
     over ``names`` (a grouped family's are the keys of its table), which
     are the simplices of its nerve, and the nerve once ``nerve`` has built
     it.  The subfamilies come from one ``_meet_walk`` on first use
-    (``_walk``).  Box families scale ``_member_boxes()`` (one list of boxes
-    per member, in ``names`` order) to integers.
+    (``_walk``) over ``_member_boxes()`` (one list of boxes per member, in
+    ``names`` order) scaled to integers.
     """
     _faces = _nerve = None
 
-    def _parts(self):
-        return _scaled(self.dimension, self._member_boxes()), _meet_scaled
-
     def _walk(self):
+        parts = _scaled(self.dimension, self._member_boxes())
         object.__setattr__(self, "_faces", frozenset(
-            sub for level in _meet_walk(*self._parts()) for sub, _ in level))
+            sub for level in _meet_walk(parts) for sub, _ in level))
 
     def _nonempty(self):
         if self._faces is None:
@@ -188,19 +178,6 @@ class BoxFamily(_WalkFamily):
 
     def _member_boxes(self):
         return [(box,) for box in self.members.values()]
-
-
-class AtomFamily(_WalkFamily):
-    """Named finite subsets of a ground set of atoms; intersection pattern
-    only, no good-cover claim."""
-
-    def __init__(self, members):
-        self.members = {name: frozenset(v) for name, v in members.items()}
-        self.names = tuple(self.members)
-
-    def _parts(self):
-        # an empty member has no parts, like a union of no boxes
-        return [[m] if m else [] for m in self.members.values()], _meet_sets
 
 
 def nerve(family) -> SimplicialComplex:
@@ -359,7 +336,7 @@ class FrFamily(_WalkFamily):
         owner = [g for g, (_, ps) in enumerate(self.groups) for _ in ps]
         boxes = [[self.base.members[p]] for _, ps in self.groups for p in ps]
         table, subs = {}, []
-        for level in _meet_walk(_scaled(self.dimension, boxes), _meet_scaled):
+        for level in _meet_walk(_scaled(self.dimension, boxes)):
             keys = {}
             for sub, _ in level:
                 keys.setdefault(tuple(map(owner.__getitem__, sub)),
@@ -385,6 +362,8 @@ def make_fr_family(base: BoxFamily, grouping, r) -> FrFamily:
     fills the family's table (``FrFamily._walk``).
     """
     groups = tuple((g, tuple(pieces)) for g, pieces in grouping)
+    if not groups:
+        raise FamilyError("a grouped family needs at least one group")
     all_pieces = [p for _, pieces in groups for p in pieces]
     if len(set(all_pieces)) != len(all_pieces):
         raise FamilyError("a piece occurs in two groups")
@@ -511,10 +490,6 @@ def random_fr_family(d, n_groups, r, seed) -> FrFamily:
             return make_fr_family(base, grouping, r)
         except FrValidationError:
             continue
-    raise FamilyError("no valid grouped family found for seed %d" % seed)
-
-
-def interval_family(intervals) -> BoxFamily:
-    """Convenience: a 1-dimensional box family from (name, lo, hi) triples."""
-    return BoxFamily(1, {name: make_box([(lo, hi)])
-                         for name, lo, hi in intervals})
+    raise FamilyError(
+        "no valid grouped family with r=%d, d=%d and %d groups in 200 draws "
+        "for seed %d" % (r, d, n_groups, seed))

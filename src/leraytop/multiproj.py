@@ -15,8 +15,7 @@ from itertools import combinations, product
 from math import prod
 
 from .core import (DEFAULT_SIMPLEX_GUARD, ComplexError, GuardExceeded,
-                   SimplicialComplex, _closed_facets, _maximal, as_simplex,
-                   boundary_complex, make_complex)
+                   SimplicialComplex, _closed_facets, _maximal, make_complex)
 from .homology import reduced_betti
 from .leray import leray_by_links
 from .rng import CounterRng
@@ -150,18 +149,6 @@ def fiber_bound(px: PartitionedComplex, guard=DEFAULT_SIMPLEX_GUARD):
     witness = min((s for s, secs in table.items() if len(secs) == r),
                   key=lambda t: (len(t), t))
     return r, witness
-
-
-def tilde_closure(px: PartitionedComplex, sigma):
-    """Union of the parts met by a simplex of the complex."""
-    sigma = as_simplex(sigma)
-    if not px.complex.contains(sigma):
-        raise ComplexError("simplex %r not in complex" % (sigma,))
-    owner = px.part_of()
-    out = set()
-    for v in sigma:
-        out.update(px.parts[owner[v]])
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -353,9 +340,3 @@ def random_complex(n, dimension, density, seed) -> SimplicialComplex:
     """Seeded random complex on n vertices (singleton parts)."""
     px = random_partitioned_complex(n, [1] * n, dimension, density, seed)
     return px.complex
-
-
-def projection_image_of_extremal(r, d) -> SimplicialComplex:
-    """The expected image of the extremal instance: the boundary of the
-    (r*d-1)-simplex."""
-    return boundary_complex(range(r * d))

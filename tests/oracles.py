@@ -1,15 +1,16 @@
 """Independent test oracles: Smith-normal-form homology, brute-force
 simplex-set operations, exhaustive enumeration of small complexes, a few
-named complexes with torsion or without hollow simplices, and the unpruned
-or pre-optimisation forms of the library's fast paths.
+named complexes with torsion or without hollow simplices, the unpruned
+or pre-optimisation forms of the library's fast paths, and small builders
+and invariants that only the tests need.
 
 Everything here is deliberately naive and shares no code path with the
 library's homology/rank implementation.
 """
 from itertools import combinations
 
-from leraytop import (ComplexError, SimplicialComplex, boundary_complex, join,
-                      make_complex, project)
+from leraytop import (BoxFamily, ComplexError, SimplicialComplex, UnionFamily,
+                      boundary_complex, join, make_box, make_complex, project)
 from leraytop.core import _closed_facets, as_simplex
 from leraytop.helly import (FamilyError, FrFamily, FrValidationError,
                             box_meet, boxes_disjoint)
@@ -27,6 +28,41 @@ def all_faces(facets, include_empty=False):
     if include_empty:
         out.add(())
     return out
+
+
+def f_vector(X: SimplicialComplex):
+    """Face counts (f_0, f_1, ...); empty tuple for void/empty complexes."""
+    counts = {}
+    for s in X.all_simplices():
+        counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
+    if not counts:
+        return ()
+    return tuple(counts.get(q, 0) for q in range(max(counts) + 1))
+
+
+def relabel(X: SimplicialComplex, mapping):
+    """Image under a vertex bijection given as a sequence new_id[old_id]."""
+    if sorted(mapping) != list(range(X.vertex_count)):
+        raise ComplexError("mapping is not a bijection of the vertex table")
+    facets = [tuple(sorted(mapping[v] for v in f)) for f in X.facets]
+    labels = None
+    if X.labels is not None:
+        labels = [None] * X.vertex_count
+        for old, lab in enumerate(X.labels):
+            labels[mapping[old]] = lab
+    return SimplicialComplex(X.vertex_count, facets, labels=labels)
+
+
+def is_isomorphism(X, Y, vertex_map) -> bool:
+    """Check that vertex_map (old id -> new id) is a simplicial isomorphism
+    between the used vertices of X and Y."""
+    used_x = sorted(X.used_vertices())
+    used_y = sorted(Y.used_vertices())
+    images = [vertex_map[v] for v in used_x]
+    if sorted(images) != used_y:
+        return False
+    mapped = {tuple(sorted(vertex_map[v] for v in f)) for f in X.facets}
+    return mapped == set(Y.facets)
 
 
 def all_simplices_by_one_set(X: SimplicialComplex):
@@ -355,12 +391,29 @@ def make_fr_family_by_product(base, grouping, r):
     return fam
 
 
+def interval_family(intervals) -> BoxFamily:
+    """A 1-dimensional box family from (name, lo, hi) triples."""
+    return BoxFamily(1, {name: make_box([(lo, hi)])
+                         for name, lo, hi in intervals})
+
+
+def atom_family(members) -> UnionFamily:
+    """Named finite sets of atoms as a 1-dimensional union family: the
+    i-th smallest atom is the point box [i, i], and an empty set is a
+    member with no boxes."""
+    atoms = sorted(set().union(*members.values()))
+    point = {a: make_box([(i, i)]) for i, a in enumerate(atoms)}
+    return UnionFamily(1, {name: tuple(point[a] for a in sorted(atoms_of))
+                           for name, atoms_of in members.items()})
+
+
 def atom_empty_by_sets(family, names):
-    """``AtomFamily.is_empty_intersection`` as the named members' sets met
-    in turn, stopping at the first empty meet."""
+    """Emptiness of named ``atom_family`` members as their sets of points
+    met in turn, stopping at the first empty meet."""
     out = None
     for n in names:
-        out = family.members[n] if out is None else out & family.members[n]
+        points = {box.intervals[0][0] for box in family.members[n]}
+        out = points if out is None else out & points
         if not out:
             return True
     if out is None:

@@ -19,7 +19,6 @@ from leraytop import (boundary_complex, check_amenta, check_hl,
                       unreduced_betti)
 from leraytop.cli import _hmps_instances, _inter_instances, _lproj_instance
 from leraytop.core import GuardExceeded, clique_complex, is_chordal
-from leraytop.helly import AtomFamily, interval_family
 from leraytop.icss import (check_alt_chain_iso, check_euler,
                            check_proof_vanishing, e1_page)
 from leraytop.leray import leray_number
@@ -28,7 +27,7 @@ from leraytop.multiproj import (make_partitioned, multiple_point_complex,
 from leraytop.rng import CounterRng
 
 from childenv import child_env
-from oracles import enumerate_complexes
+from oracles import atom_family, enumerate_complexes, interval_family
 
 
 def _verdict(num, ok, detail):
@@ -175,8 +174,8 @@ def test_criterion_09_helly_layer():
     intervals = interval_family([("a", 0, 1), ("b", Fraction(1, 2), 2),
                                  ("c", Fraction(3, 2), 3)])
     fixture_ok &= helly_number(intervals).helly_number == 2
-    triangle = AtomFamily({"ab": {"a", "b"}, "bc": {"b", "c"},
-                           "ca": {"c", "a"}})
+    triangle = atom_family({"ab": {"a", "b"}, "bc": {"b", "c"},
+                            "ca": {"c", "a"}})
     rep = check_hl(triangle)
     fixture_ok &= rep["helly"] == 3 and rep["bound"] == 3 and rep["holds"]
     interval_bad = box_bad = 0

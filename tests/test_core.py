@@ -4,16 +4,15 @@ import pytest
 
 from leraytop import (ComplexError, GuardExceeded, boundary_complex,
                       clique_complex, empty_complex, induced, intersection,
-                      is_chordal, is_isomorphism, join, link, make_complex,
-                      reduced_betti, solid_simplex, subdivision, union,
-                      void_complex)
+                      is_chordal, join, link, make_complex, reduced_betti,
+                      solid_simplex, subdivision, union, void_complex)
 from leraytop.core import (SimplicialComplex, _closed_facets, _maximal,
                            _strong_core, as_simplex)
 from leraytop.multiproj import random_complex
 from leraytop.rng import CounterRng
 
 from oracles import (all_faces, all_simplices_by_one_set, enumerate_complexes,
-                     link_facets_by_maximal, maximal_by_pairs)
+                     f_vector, link_facets_by_maximal, maximal_by_pairs)
 
 
 def hollow_triangle():
@@ -92,7 +91,9 @@ def test_induced_examples():
     ht = hollow_triangle()
     edge = induced(ht, {0, 1})
     assert edge.facets == frozenset({(0, 1)})
-    assert edge.parent_map == (0, 1)
+    # local vertex i is the i-th smallest id of S
+    assert induced(make_complex([[0, 1], [2, 3]]), {3, 2, 0}).facets == \
+        frozenset({(0,), (1, 2)})
     assert induced(ht, range(3)) == ht
     assert induced(ht, set()).is_empty()
     with pytest.raises(ComplexError):
@@ -225,7 +226,7 @@ def test_subdivision_examples():
     edge = subdivision(make_complex([[0, 1]]))
     assert edge.vertex_count == 3 and len(edge.facets) == 2
     hexagon = subdivision(hollow_triangle())
-    assert hexagon.f_vector() == (6, 6)
+    assert f_vector(hexagon) == (6, 6)
     assert reduced_betti(hexagon).reduced == (0, 1)
     point = subdivision(make_complex([[0]]))
     assert point.facets == frozenset({(0,)})

@@ -20,7 +20,7 @@ from leraytop.multiproj import (PartitionedComplex, _section_table,
                                 random_partitioned_complex, extremal_example)
 from leraytop.rng import CounterRng
 
-from oracles import e1_page_by_building
+from oracles import e1_page_by_building, f_vector
 
 
 def two_points_one_part():
@@ -175,7 +175,7 @@ def test_alt_chain_examples():
     X = random_complex(5, 2, 0.6, 77)
     M1 = multiple_point_complex(singleton_px(X), 1)
     acc = alt_chain_complex(M1)
-    fv = X.f_vector()
+    fv = f_vector(X)
     assert all(acc.dim(q) == fv[q] for q in range(len(fv)))
 
     M2 = multiple_point_complex(two_points_one_part(), 2)

@@ -336,6 +336,30 @@ def test_cli_amenta_batch_refuses_over_cap_groups_before_drawing(
     assert draws == [1]
 
 
+def test_cli_amenta_batch_names_the_size_it_cannot_draw(capsys):
+    # seed 0 draws a valid family; seed 1 does not in 200 draws
+    argv = ["amenta", "--r", "12", "--d", "1", "--groups", "5", "--count", "3"]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: no valid grouped family with r=12, d=1 and 5 "
+                   "groups in 200 draws for seed 1\n")
+
+
+def test_cli_amenta_empty_family_is_refused_before_the_walk(
+        tmp_path, capsys, monkeypatch):
+    from leraytop import helly
+    walks = []
+    inner = helly._meet_walk
+    monkeypatch.setattr(helly, "_meet_walk",
+                        lambda *args: walks.append(1) or inner(*args))
+    f = tmp_path / "family.json"
+    f.write_text('{"d": 1, "members": {}}')
+    assert cli.run(["amenta", str(f)]) == 2
+    assert capsys.readouterr().err == \
+        "error: a grouped family needs at least one group\n"
+    assert not walks
+
+
 def test_cli_non_object_members_on_stdin_exits_2():
     proc = subprocess.run([sys.executable, "-m", "leraytop.cli", "helly", "-"],
                           input='{"d":1,"members":[1]}', capture_output=True,

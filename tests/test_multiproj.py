@@ -6,20 +6,19 @@ import pytest
 from leraytop import (ComplexError, GuardExceeded, boundary_complex,
                       check_intersection_bound, check_mps_vanishing,
                       check_projection_theorem, extremal_example, fiber_bound,
-                      generalized_mpc, induced, is_isomorphism, leray_number,
-                      make_complex, multiple_point_complex, project,
-                      random_partitioned_complex, reduced_betti, solid_simplex,
-                      tilde_closure)
+                      generalized_mpc, induced, leray_number, make_complex,
+                      multiple_point_complex, project,
+                      random_partitioned_complex, reduced_betti, solid_simplex)
 from leraytop import multiproj
 from leraytop.cli import _hmps_instances, _lproj_instance
 from leraytop.core import (SimplicialComplex, _closed_facets, _maximal,
                            make_complex as _mk)
-from leraytop.multiproj import (_section_table, make_partitioned,
-                                projection_image_of_extremal, random_complex)
+from leraytop.multiproj import _section_table, make_partitioned, random_complex
 from leraytop.icss import e1_page, sym_action
 from leraytop.rng import CounterRng
 
-from oracles import fiber_bound_by_sections, mpc_by_sections
+from oracles import (f_vector, fiber_bound_by_sections, is_isomorphism,
+                     mpc_by_sections, relabel)
 
 
 def two_points_one_part():
@@ -66,7 +65,7 @@ def test_fiber_bound_matches_sections_reference(seed):
     # parts that are not runs of consecutive ids
     n = px.complex.vertex_count
     perm = rng.sample(range(n), n)
-    moved = make_partitioned(px.complex.relabel(perm),
+    moved = make_partitioned(relabel(px.complex, perm),
                              [[perm[v] for v in p] for p in px.parts])
     assert fiber_bound(moved) == fiber_bound_by_sections(moved)
 
@@ -175,15 +174,6 @@ def test_fiber_bound_one_means_iso():
         assert is_isomorphism(px.complex, Y, vmap)
 
 
-def test_tilde_closure_examples():
-    px = random_partitioned_complex(3, [2, 2, 2], 2, 1.0, 0)
-    assert tilde_closure(px, ()) == frozenset()
-    assert tilde_closure(px, (4,)) == frozenset({4, 5})
-    assert tilde_closure(px, (0, 5)) == frozenset({0, 1, 4, 5})
-    with pytest.raises(ComplexError):
-        tilde_closure(px, (0, 1))
-
-
 def test_mpc_k1_is_x():
     X = random_complex(5, 2, 0.6, 3)
     px = singleton_px(X)
@@ -194,7 +184,7 @@ def test_mpc_k1_is_x():
 
 def test_mpc_two_points_k2():
     M = multiple_point_complex(two_points_one_part(), 2)
-    assert M.complex.f_vector() == (4,)
+    assert f_vector(M.complex) == (4,)
     assert sorted(M.tuples) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -244,7 +234,7 @@ def test_simplex_factor_gives_induced_subcomplex(seed):
     M = generalized_mpc([px, px2])
     tilde = {v for i in chosen for v in px.parts[i]}
     sub = induced(px.complex, sorted(tilde))
-    local = {orig: loc for loc, orig in enumerate(sub.parent_map)}
+    local = {orig: loc for loc, orig in enumerate(sorted(tilde))}
     vmap = {j: local[M.tuples[j][0]] for j in range(M.complex.vertex_count)}
     assert is_isomorphism(M.complex, sub, vmap)
 
@@ -317,7 +307,8 @@ def test_extremal_claims(r, d):
     assert px.complex.vertex_count == r * r * d and px.m == r * d
     assert leray_number(px.complex) == d - 1
     assert fiber_bound(px)[0] == r
-    assert project(px) == projection_image_of_extremal(r, d)
+    # the image is the boundary of the (r*d-1)-simplex
+    assert project(px) == boundary_complex(range(r * d))
     assert leray_number(project(px)) == r * d - 1
 
 
@@ -334,7 +325,7 @@ def test_extremal_22_structure():
 
 def test_random_generator():
     px = random_partitioned_complex(3, [2, 2, 2], 2, 0.0, 0)
-    assert px.complex.dim == 0 and px.complex.f_vector() == (6,)
+    assert px.complex.dim == 0 and f_vector(px.complex) == (6,)
     px = random_partitioned_complex(4, [1] * 4, 3, 1.0, 0)
     assert px.complex.facets == frozenset({(0, 1, 2, 3)})
     a = random_partitioned_complex(3, [2, 2, 2], 2, 0.5, 1)
