@@ -106,12 +106,6 @@ class SimplicialComplex:
             return -2
         return max(len(f) for f in self.facets) - 1
 
-    def contains(self, simplex) -> bool:
-        s = set(simplex)
-        if not s:
-            return not self.is_void()
-        return any(s.issubset(f) for f in self.facets)
-
     def all_simplices(self, include_empty=False, guard=DEFAULT_SIMPLEX_GUARD):
         """Every simplex, sorted by (dimension, lex).  Guarded enumeration.
 

@@ -4,7 +4,13 @@ for the r(d+1) Helly bound.
 
 Geometry is restricted to axis-parallel boxes with rational corners:
 intersections are computed exactly and every nonempty intersection is again
-a box (convex), so box families are automatically good covers.
+a box (convex), so box families are automatically good covers.  Each member
+of a family is a union of boxes, and one clique walk (``_meet_walk``) finds
+the subfamilies that meet.  Closed boxes have Helly number 2: on each axis,
+closed intervals that meet pairwise have a common point.  So a subfamily
+meets exactly when some choice of one box per member meets pairwise, and
+each pairwise test compares integers (the endpoints scaled per axis by the
+lcm of their denominators), which keeps it exact.
 """
 from __future__ import annotations
 
@@ -69,80 +75,81 @@ def boxes_disjoint(a: Box, b: Box) -> bool:
 # -- the subfamily walk --------------------------------------------------
 
 
-def _scaled(dimension, groups):
-    """``groups`` (lists of boxes) with each box as a flat tuple
-    (lo_0, hi_0, lo_1, hi_1, ...) of integers: each axis is multiplied by
-    the lcm of the denominators of its endpoints.
+def _scaled(dimension, boxes):
+    """``boxes`` as flat tuples (lo_0, hi_0, lo_1, hi_1, ...) of integers,
+    each axis multiplied by the lcm of its endpoints' denominators.  A
+    positive scaling keeps the order of the endpoints on an axis, so two
+    boxes meet on the integers exactly when they meet on the rationals."""
+    scale = [lcm(*{x.denominator for b in boxes for x in b.intervals[axis]})
+             for axis in range(dimension)]
+    return [tuple(x.numerator * (scale[axis] // x.denominator)
+                  for axis in range(dimension) for x in b.intervals[axis])
+            for b in boxes]
 
-    Closed intervals meet iff max lo <= min hi, and a positive scaling
-    keeps the order and the equalities of the endpoints on an axis, so
-    every meet is empty on the integers exactly when it is empty on the
-    rational endpoints.
+
+def _meet_walk(boxes, owner):
+    """Yield, size by size, every set of scaled boxes (``_scaled``) of
+    distinct owners with a common point, as index tuples in lexicographic
+    order.  ``owner[i]`` is the member that box ``i`` belongs to, and the
+    boxes are grouped by owner.
+
+    By Helly number 2 the sets are the cliques of the meet graph.  One pass
+    over the pairs gives box ``i`` the bitmask ``later[i]`` of the later
+    boxes of another owner that meet it, and a clique is extended by each
+    bit of the AND of its members' masks.  Only the current and the next
+    size are held, and the next is built only when the caller asks for it.
     """
-    scale = [lcm(*{x.denominator for boxes in groups for b in boxes
-                   for x in b.intervals[axis]}) for axis in range(dimension)]
-    return [[tuple(x.numerator * (scale[axis] // x.denominator)
-                   for axis in range(dimension) for x in b.intervals[axis])
-             for b in boxes] for boxes in groups]
-
-
-def _meet_scaled(a, b):
-    """Meet of two scaled boxes; None if empty."""
-    out = []
-    for i in range(0, len(a), 2):
-        lo = a[i] if a[i] > b[i] else b[i]
-        hi = a[i + 1] if a[i + 1] < b[i + 1] else b[i + 1]
-        if lo > hi:
-            return None
-        out.append(lo)
-        out.append(hi)
-    return tuple(out)
-
-
-def _meet_walk(parts):
-    """Yield, size by size, the list of ``(sub, meets)`` for every
-    subfamily of that size with nonempty intersection, in lexicographic
-    order of the index tuple ``sub``.  ``parts`` holds one list of scaled
-    boxes (``_scaled``) per member, the member being their union; ``meets``
-    are the nonempty meets of one box per member of ``sub``.
-
-    An entry is its prefix ``sub[:-1]``'s meets met with each box of its
-    last member, and a subfamily with an empty prefix is empty, so it is
-    never visited.  Only the current and the next size are held, and the
-    next is met only when the caller asks for it.
-    """
-    n = len(parts)
-    level = [((i,), p) for i, p in enumerate(parts) if p]
+    later = [0] * len(boxes)
+    for i, j in combinations(range(len(boxes)), 2):
+        a, b = boxes[i], boxes[j]
+        # closed intervals meet iff each starts before the other ends
+        if owner[i] != owner[j] and all(a[k] <= b[k + 1] and b[k] <= a[k + 1]
+                                        for k in range(0, len(a), 2)):
+            later[i] |= 1 << j
+    level = [((i,), mask) for i, mask in enumerate(later)]
     while level:
-        yield level
+        yield [sub for sub, _ in level]
         nxt = []
-        for sub, acc in level:
-            for j in range(sub[-1] + 1, n):
-                meets = []
-                for a in acc:
-                    for b in parts[j]:
-                        m = _meet_scaled(a, b)
-                        if m is not None:
-                            meets.append(m)
-                if meets:
-                    nxt.append((sub + (j,), meets))
+        for sub, common in level:
+            while common:
+                j = (common & -common).bit_length() - 1
+                nxt.append((sub + (j,), common & later[j]))
+                common &= common - 1
         level = nxt
 
 
 class _WalkFamily:
-    """A family that keeps its nonempty subfamilies as sorted index tuples
-    over ``names`` (a grouped family's are the keys of its table), which
-    are the simplices of its nerve, and the nerve once ``nerve`` has built
-    it.  The subfamilies come from one ``_meet_walk`` on first use
-    (``_walk``) over ``_member_boxes()`` (one list of boxes per member, in
-    ``names`` order) scaled to integers.
+    """A family whose members are unions of boxes, ``_member_boxes()``
+    giving one list per member in ``names`` order.  On first use one
+    ``_meet_walk`` over all the boxes, each owned by its member, fills the
+    family's table (``_walk``).  ``_faces`` maps each nonempty subfamily, a
+    sorted index tuple over ``names``, to the box sets over it; the boxes
+    are grouped by owner, so its keys are the simplices of the nerve in
+    ``all_simplices`` order.  ``_piece_faces`` lists the box sets by size
+    and then lexicographically, and ``_nerve`` keeps the nerve once
+    ``nerve`` has built it.
     """
-    _faces = _nerve = None
+    _faces = _piece_faces = _nerve = None
 
     def _walk(self):
-        parts = _scaled(self.dimension, self._member_boxes())
-        object.__setattr__(self, "_faces", frozenset(
-            sub for level in _meet_walk(parts) for sub, _ in level))
+        members = self._member_boxes()
+        owner = [m for m, boxes in enumerate(members) for _ in boxes]
+        boxes = _scaled(self.dimension, [b for bs in members for b in bs])
+        table, subs = {}, []
+        for level in _meet_walk(boxes, owner):
+            keys = {}
+            for sub in level:
+                keys.setdefault(tuple(map(owner.__getitem__, sub)),
+                                []).append(sub)
+            self._check_size(keys)
+            table.update(keys)
+            subs += level
+        object.__setattr__(self, "_faces", table)
+        object.__setattr__(self, "_piece_faces", subs)
+
+    def _check_size(self, keys):
+        """Raise if one size of the walk breaks the family's rules; a box
+        or union family has none."""
 
     def _nonempty(self):
         if self._faces is None:
@@ -313,73 +320,63 @@ class FrValidationError(FamilyError):
 @dataclass(frozen=True)
 class FrFamily(_WalkFamily):
     """Members G_i, each a disjoint union of at most r base boxes (pieces);
-    every subfamily intersection decomposes into at most r disjoint boxes,
-    which the walk checks on first use."""
+    every subfamily intersection decomposes into at most r disjoint boxes.
+    The walk that fills the table on first use validates the family: the
+    groups before it (``_member_boxes``), the counts after each size
+    (``_check_size``)."""
     dimension: int
     base: object                 # BoxFamily of all pieces
     groups: tuple                # ((group name, (piece names...)), ...)
     r: int
-    # Set by _walk, read-only after and not part of the value: _faces maps
-    # each nonempty subfamily of groups to the subfamilies of pieces over
-    # it, and _piece_faces lists those by size and then lexicographically.
-    _piece_faces = None
 
     @property
     def names(self):
         return tuple(g for g, _ in self.groups)
 
-    def _walk(self):
-        """Walk the pieces in group-major order; after each size, raise for
-        the first subfamily of groups over which more than r meet.  A
-        group's pieces are disjoint, so the groups of the pieces that meet
-        are distinct, sorted and, size by size, in lexicographic order."""
-        owner = [g for g, (_, ps) in enumerate(self.groups) for _ in ps]
-        boxes = [[self.base.members[p]] for _, ps in self.groups for p in ps]
-        table, subs = {}, []
-        for level in _meet_walk(_scaled(self.dimension, boxes)):
-            keys = {}
-            for sub, _ in level:
-                keys.setdefault(tuple(map(owner.__getitem__, sub)),
-                                []).append(sub)
-            for key, over in keys.items():
-                if len(over) > self.r:
-                    key = tuple(self.names[g] for g in key)
+    def _member_boxes(self):
+        """The pieces, group by group, after checking the groups: at least
+        one group, no piece in two groups, and 1 to r pairwise disjoint
+        pieces in each."""
+        if not self.groups:
+            raise FamilyError("a grouped family needs at least one group")
+        all_pieces = [p for _, pieces in self.groups for p in pieces]
+        if len(set(all_pieces)) != len(all_pieces):
+            raise FamilyError("a piece occurs in two groups")
+        for g, pieces in self.groups:
+            if not pieces:
+                raise FamilyError("group %r has no pieces" % (g,))
+            if len(pieces) > self.r:
+                raise FrValidationError(
+                    "group %r has more than r=%d pieces" % (g, self.r), (g,))
+            for a, b in combinations(pieces, 2):
+                if not boxes_disjoint(self.base.members[a],
+                                      self.base.members[b]):
                     raise FrValidationError(
-                        "intersection over %r splits into %d > r pieces"
-                        % (key, len(over)), key)
-            table.update(keys)
-            subs += (sub for sub, _ in level)
-        object.__setattr__(self, "_faces", table)
-        object.__setattr__(self, "_piece_faces", subs)
+                        "pieces %r and %r of group %r overlap" % (a, b, g),
+                        (g,))
+        return [[self.base.members[p] for p in pieces]
+                for _, pieces in self.groups]
+
+    def _check_size(self, keys):
+        """Raise for the first subfamily of groups over which more than r
+        pieces meet.  Two different piece choices differ in some group,
+        whose pieces are disjoint, so the choice boxes never overlap: only
+        the count can fail."""
+        for key, over in keys.items():
+            if len(over) > self.r:
+                key = tuple(self.names[g] for g in key)
+                raise FrValidationError(
+                    "intersection over %r splits into %d > r pieces"
+                    % (key, len(over)), key)
 
 
 def make_fr_family(base: BoxFamily, grouping, r) -> FrFamily:
-    """Validate and build a grouped family.
-
-    Within each group the pieces must be pairwise disjoint; for every
-    subfamily of groups the nonempty piece-choice boxes must be pairwise
-    disjoint and number at most r.  The count is checked by the walk that
-    fills the family's table (``FrFamily._walk``).
-    """
-    groups = tuple((g, tuple(pieces)) for g, pieces in grouping)
-    if not groups:
-        raise FamilyError("a grouped family needs at least one group")
-    all_pieces = [p for _, pieces in groups for p in pieces]
-    if len(set(all_pieces)) != len(all_pieces):
-        raise FamilyError("a piece occurs in two groups")
-    for g, pieces in groups:
-        if not pieces:
-            raise FamilyError("group %r has no pieces" % (g,))
-        if len(pieces) > r:
-            raise FrValidationError(
-                "group %r has more than r=%d pieces" % (g, r), (g,))
-        for a, b in combinations(pieces, 2):
-            if not boxes_disjoint(base.members[a], base.members[b]):
-                raise FrValidationError(
-                    "pieces %r and %r of group %r overlap" % (a, b, g), (g,))
-    fam = FrFamily(base.dimension, base, groups, int(r))
-    # two different piece choices differ in some group, whose pieces are
-    # disjoint, so the choice boxes never overlap: only the count can fail
+    """Build a grouped family and validate it now, by the walk that fills
+    its table: the groups first, then the count over every subfamily of
+    groups (see ``FrFamily``).  A directly built family raises the same
+    errors, in the same order, on first use."""
+    fam = FrFamily(base.dimension, base,
+                   tuple((g, tuple(pieces)) for g, pieces in grouping), int(r))
     fam._walk()
     return fam
 

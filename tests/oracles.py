@@ -30,6 +30,15 @@ def all_faces(facets, include_empty=False):
     return out
 
 
+def contains(X: SimplicialComplex, simplex) -> bool:
+    """Whether ``simplex`` (in any vertex order) lies in some facet of X;
+    the empty simplex lies in every complex but the void one."""
+    s = set(simplex)
+    if not s:
+        return not X.is_void()
+    return any(s.issubset(f) for f in X.facets)
+
+
 def f_vector(X: SimplicialComplex):
     """Face counts (f_0, f_1, ...); empty tuple for void/empty complexes."""
     counts = {}
@@ -266,7 +275,7 @@ def _sections(X: SimplicialComplex, part_vertex_lists):
     out = [()]
     for vertices in part_vertex_lists:
         out = [prefix + (v,) for prefix in out for v in vertices
-               if X.contains(sorted(prefix + (v,)))]
+               if contains(X, prefix + (v,))]
     return out
 
 
@@ -288,7 +297,7 @@ def mpc_by_sections(pxs, guard=DEFAULT_MPC_SIMPLEX_GUARD) -> MultiPointComplex:
         px.complex.all_simplices(guard=guard)
     images = [project(px) for px in pxs]
     common = [s for s in images[0].all_simplices()
-              if all(img.contains(s) for img in images[1:])]
+              if all(contains(img, s) for img in images[1:])]
     simplex_sets = set()
     for I in common:
         lists = [parts[i] for i in I]

@@ -58,3 +58,37 @@ def test_library_modules_use_every_name_they_import():
     assert len(modules) >= 9
     unused = {p.name: _unused_imports(p) for p in sorted(modules)}
     assert {name: u for name, u in unused.items() if u} == {}
+
+
+def _private_top_level_names(tree):
+    """The private names a module's top level defines or assigns."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_library_private_names_are_all_referenced():
+    # a private helper that nothing reads is dead code: each one must be
+    # read by name, as an attribute or through an import somewhere in the
+    # package
+    trees = [ast.parse(p.read_text())
+             for p in Path(leraytop.__file__).parent.glob("*.py")]
+    defined, read = set(), set()
+    for tree in trees:
+        defined |= _private_top_level_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    assert len(defined) >= 20
+    assert sorted(defined - read) == []

@@ -127,6 +127,19 @@ def test_union_family_oracle():
     })
     assert not uf.is_empty_intersection(["G1", "G2"])
     assert uf.is_empty_intersection(["G1", "G3"])
+    # A, B and C meet pairwise, each pair in a box the third lacks, so they
+    # have no common point; A, B and D meet in [0, 1]
+    uf = UnionFamily(1, {
+        "A": (make_box([(0, 1)]), make_box([(4, 5)])),
+        "B": (make_box([(0, 1)]), make_box([(8, 9)])),
+        "C": (make_box([(4, 5)]), make_box([(8, 9)])),
+        "D": (make_box([(1, 2)]),),
+    })
+    for pair in combinations("ABC", 2):
+        assert not uf.is_empty_intersection(pair)
+    assert uf.is_empty_intersection(["A", "B", "C"])
+    assert not uf.is_empty_intersection(["A", "B", "D"])
+    assert uf.is_empty_intersection(["A", "C", "D"])
 
 
 def test_make_fr_family_examples():
@@ -165,19 +178,37 @@ def test_make_fr_family_rejects_too_many_intersection_pieces():
 def test_directly_built_fr_family_validates_on_first_use():
     # over {G1, G2} the meet splits into 3 > r = 2 pieces, which the walk
     # finds however the family was built
-    base = BoxFamily(1, {
+    split = BoxFamily(1, {
         "F1a": make_box([(0, 3)]), "F1b": make_box([(4, 9)]),
         "F2a": make_box([(2, 5)]), "F2b": make_box([(6, 7)]),
     })
-    groups = (("G1", ("F1a", "F1b")), ("G2", ("F2a", "F2b")))
-    with pytest.raises(FrValidationError) as made:
-        make_fr_family(base, groups, 2)
-    for use in (nerve, lambda fr: fr.is_empty_intersection(["G1"]),
-                check_amenta):
-        with pytest.raises(FrValidationError) as err:
-            use(FrFamily(1, base, groups, 2))
-        assert str(err.value) == str(made.value)
-        assert err.value.subfamily == ("G1", "G2")
+    # group G's pieces overlap, and the walk never meets two pieces of one
+    # group, so the groups are checked before it
+    overlap = BoxFamily(1, {"a": make_box([(0, 2)]), "b": make_box([(1, 3)]),
+                            "c": make_box([(5, 6)])})
+    cases = [
+        (split, (("G1", ("F1a", "F1b")), ("G2", ("F2a", "F2b"))),
+         "intersection over ('G1', 'G2') splits into 3 > r pieces"),
+        (overlap, (("G", ("a", "b")), ("H", ("c",))),
+         "pieces 'a' and 'b' of group 'G' overlap"),
+        (overlap, (("G", ("a",)), ("H", ("a", "c"))),
+         "a piece occurs in two groups"),
+        (overlap, (("G", ("a",)), ("H", ())), "group 'H' has no pieces"),
+        (overlap, (("G", ("a", "b", "c")),),
+         "group 'G' has more than r=2 pieces"),
+    ]
+    for base, groups, message in cases:
+        with pytest.raises(FamilyError) as made:
+            make_fr_family(base, groups, 2)
+        assert str(made.value) == message
+        for use in (nerve, lambda fr: fr.is_empty_intersection(fr.names[:1]),
+                    check_amenta):
+            with pytest.raises(FamilyError) as err:
+                use(FrFamily(1, base, groups, 2))
+            assert type(err.value) is type(made.value)
+            assert str(err.value) == message
+            assert getattr(err.value, "subfamily", None) == \
+                getattr(made.value, "subfamily", None)
 
 
 def test_pieces_projection_examples():
