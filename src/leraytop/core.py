@@ -122,8 +122,6 @@ class SimplicialComplex:
             for f in sorted(self.facets, key=len, reverse=True):
                 if not levels:
                     levels = [set() for _ in range(len(f) + 1)]
-                if f in levels[len(f)]:
-                    continue
                 for q, level in enumerate(levels[:len(f) + 1]):
                     level.update(combinations(f, q))
                 if sum(map(len, levels)) > guard:
@@ -365,8 +363,10 @@ def _order_complex(elements, chain_facets):
     if not elements:
         return OrderComplex(0, ())
     idx = {e: i for i, e in enumerate(elements)}
+    # nested saturated chains would end at nested facets, so at one facet,
+    # and have one length: the chains are already pairwise incomparable
     facets = {tuple(sorted(idx[e] for e in chain)) for chain in chain_facets}
-    return OrderComplex(len(elements), _maximal(facets), labels=elements)
+    return OrderComplex(len(elements), facets, labels=elements)
 
 
 def subdivision(K, guard=DEFAULT_SIMPLEX_GUARD):
@@ -380,82 +380,3 @@ def subdivision(K, guard=DEFAULT_SIMPLEX_GUARD):
             chains.extend(_saturated_chains(f))
     return _order_complex(elements, chains)
 
-
-# -- graphs ------------------------------------------------------------
-
-
-def _normalize_edges(edges):
-    out = set()
-    for e in edges:
-        u, v = e
-        if u == v:
-            raise ComplexError("self-loop at vertex %r" % (u,))
-        if u < 0 or v < 0:
-            raise ComplexError("negative vertex id in edge %r" % (e,))
-        out.add((min(u, v), max(u, v)))
-    return sorted(out)
-
-
-def _bron_kerbosch(adj, r, p, x, out):
-    if not p and not x:
-        out.append(tuple(sorted(r)))
-        return
-    pivot = max(p | x, key=lambda u: len(adj[u] & p))
-    for v in sorted(p - adj[pivot]):
-        _bron_kerbosch(adj, r | {v}, p & adj[v], x & adj[v], out)
-        p = p - {v}
-        x = x | {v}
-
-
-def clique_complex(edges, n=None):
-    """The complex of cliques of a simple graph on vertices 0..n-1."""
-    edges = _normalize_edges(edges)
-    top = max((e[1] for e in edges), default=-1)
-    if n is None:
-        n = top + 1
-    if top >= n:
-        raise ComplexError("edge endpoint outside vertex table")
-    adj = {v: set() for v in range(n)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    if n == 0:
-        return SimplicialComplex(0, ())
-    cliques = []
-    _bron_kerbosch(adj, set(), set(range(n)), set(), cliques)
-    return SimplicialComplex(n, cliques)
-
-
-def is_chordal(edges, n=None):
-    """Chordality via maximum cardinality search and a perfect elimination
-    ordering check."""
-    edges = _normalize_edges(edges)
-    top = max((e[1] for e in edges), default=-1)
-    if n is None:
-        n = top + 1
-    adj = {v: set() for v in range(n)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    # maximum cardinality search, producing vertices in reverse elimination
-    # order
-    weight = {v: 0 for v in range(n)}
-    order = []
-    remaining = set(range(n))
-    while remaining:
-        v = max(sorted(remaining), key=lambda u: weight[u])
-        order.append(v)
-        remaining.discard(v)
-        for u in adj[v] & remaining:
-            weight[u] += 1
-    pos = {v: i for i, v in enumerate(order)}
-    # elimination order is reversed MCS order; check each vertex's earlier
-    # (in MCS order) neighbors form a clique with its closest one
-    for v in reversed(order):
-        earlier = {u for u in adj[v] if pos[u] < pos[v]}
-        if not earlier:
-            continue
-        w = max(earlier, key=lambda u: pos[u])
-        if not (earlier - {w}) <= adj[w]:
-            return False
-    return True

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (DEFAULT_SIMPLEX_GUARD, ComplexError, SimplicialComplex,
-                   _bits, _meet, _strong_core, clique_complex, induced,
-                   is_chordal, link)
+                   _bits, _meet, _strong_core, induced, link)
 from .homology import reduced_betti, top_nonzero_degree
 
 DEFAULT_DEFINITION_CAP = 18
@@ -152,15 +151,3 @@ def check_witness(X, cert: LerayCertificate) -> bool:
         raise ComplexError("unknown witness kind %r" % (kind,))
     return reduced_betti(Y).degree(degree) != 0 and degree == cert.value - 1
 
-
-def check_chordal_characterization(edges, n=None, guard=DEFAULT_SIMPLEX_GUARD):
-    """Report on the equivalence: G chordal iff the clique complex has
-    Leray number at most 1."""
-    chordal = is_chordal(edges, n=n)
-    X = clique_complex(edges, n=n)
-    value = leray_by_links(X, guard=guard).value
-    return {
-        "chordal": chordal,
-        "leray": value,
-        "holds": chordal == (value <= 1),
-    }

@@ -221,9 +221,14 @@ def multiple_point_complex(px: PartitionedComplex, k,
 
 def check_projection_theorem(px: PartitionedComplex,
                              guard=DEFAULT_SIMPLEX_GUARD):
-    """Verify L(Y) <= r*L(X) + r - 1 for Y the image of the projection."""
+    """Verify L(Y) <= r*L(X) + r - 1 for Y the image of the projection.
+
+    r is a maximum over the points of X, so an X with no vertex (the void
+    or the empty complex) raises ComplexError."""
     lx = leray_by_links(px.complex, guard=guard).value
     r, witness = fiber_bound(px, guard=guard)
+    if r == 0:
+        raise ComplexError("the projection bound needs X to have a vertex")
     ly = leray_by_links(project(px), guard=guard).value
     bound = r * lx + r - 1
     return {

@@ -2,7 +2,8 @@
 simplex-set operations, exhaustive enumeration of small complexes, a few
 named complexes with torsion or without hollow simplices, the unpruned
 or pre-optimisation forms of the library's fast paths, and small builders
-and invariants that only the tests need.
+and invariants that only the tests need, graph clique complexes and
+chordality among them.
 
 Everything here is deliberately naive and shares no code path with the
 library's homology/rank implementation.
@@ -267,6 +268,47 @@ def link_facets_by_maximal(X: SimplicialComplex, A):
     aset = set(as_simplex(A))
     return maximal_by_pairs(tuple(sorted(set(f) - aset))
                             for f in X.facets if aset <= set(f))
+
+
+def _adjacency(edges, n):
+    """Neighbour sets of a simple graph on 0..n-1; n defaults to one more
+    than the largest endpoint."""
+    if n is None:
+        n = 1 + max((max(e) for e in edges), default=-1)
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def clique_complex(edges, n=None) -> SimplicialComplex:
+    """The complex of cliques of a simple graph on 0..n-1.  Each clique is
+    grown from its smallest vertex by later vertices adjacent to all of it;
+    the facets are the maximal cliques."""
+    adj = _adjacency(edges, n)
+    cliques = [(v,) for v in adj]
+    for c in cliques:  # the list grows while it is read
+        cliques.extend(c + (w,) for w in range(c[-1] + 1, len(adj))
+                       if all(w in adj[u] for u in c))
+    return SimplicialComplex(len(adj), maximal_by_pairs(cliques))
+
+
+def is_chordal(edges, n=None) -> bool:
+    """Chordality by deleting simplicial vertices (those whose neighbours
+    are pairwise adjacent) one at a time.  Every chordal graph has one and
+    induced subgraphs of chordal graphs are chordal (Dirac 1961), and no
+    chordless cycle passes through one, so the graph is chordal exactly
+    when this deletes every vertex (Fulkerson-Gross 1965)."""
+    adj = _adjacency(edges, n)
+    while adj:
+        v = next((v for v, nb in adj.items()
+                  if all(b in adj[a] for a, b in combinations(nb, 2))), None)
+        if v is None:
+            return False
+        for u in adj.pop(v):
+            adj[u].discard(v)
+    return True
 
 
 def _sections(X: SimplicialComplex, part_vertex_lists):

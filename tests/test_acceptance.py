@@ -18,7 +18,7 @@ from leraytop import (boundary_complex, check_amenta, check_hl,
                       make_complex, project, random_fr_family, reduced_betti,
                       unreduced_betti)
 from leraytop.cli import _hmps_instances, _inter_instances, _lproj_instance
-from leraytop.core import GuardExceeded, clique_complex, is_chordal
+from leraytop.core import GuardExceeded
 from leraytop.icss import (check_alt_chain_iso, check_euler,
                            check_proof_vanishing, e1_page)
 from leraytop.leray import leray_number
@@ -27,7 +27,8 @@ from leraytop.multiproj import (make_partitioned, multiple_point_complex,
 from leraytop.rng import CounterRng
 
 from childenv import child_env
-from oracles import atom_family, enumerate_complexes, interval_family
+from oracles import (atom_family, clique_complex, enumerate_complexes,
+                     interval_family, is_chordal)
 
 
 def _verdict(num, ok, detail):

@@ -12,14 +12,13 @@ PUBLIC_NAMES = [
     "HellyReport", "LerayCertificate", "MultiPointComplex", "OrderComplex",
     "PartitionedComplex", "SimplicialComplex", "UnionFamily", "alt_betti",
     "alt_chain_complex", "boundary_complex", "boundary_matrices",
-    "check_alt_chain_iso", "check_amenta",
-    "check_chordal_characterization", "check_euler", "check_hl",
+    "check_alt_chain_iso", "check_amenta", "check_euler", "check_hl",
     "check_intersection_bound", "check_mps_vanishing",
-    "check_projection_theorem", "check_proof_vanishing", "clique_complex",
+    "check_projection_theorem", "check_proof_vanishing",
     "double_point_closure", "e1_page", "empty_complex",
     "euler_characteristic", "extremal_example", "fiber_bound",
     "generalized_mpc", "helly_number", "helly_number_direct", "induced",
-    "intersection", "is_chordal", "join",
+    "intersection", "join",
     "leray_by_definition", "leray_by_links", "leray_number", "link",
     "make_box", "make_complex", "make_fr_family", "make_partitioned",
     "multiple_point_complex", "nerve", "pieces_projection", "project",
@@ -74,15 +73,15 @@ def _private_top_level_names(tree):
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
-def test_library_private_names_are_all_referenced():
-    # a private helper that nothing reads is dead code: each one must be
-    # read by name, as an attribute or through an import somewhere in the
-    # package
-    trees = [ast.parse(p.read_text())
-             for p in Path(leraytop.__file__).parent.glob("*.py")]
-    defined, read = set(), set()
+LIBRARY = Path(leraytop.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _names_read(trees):
+    """The names the modules read by name, as an attribute or through an
+    import."""
+    read = set()
     for tree in trees:
-        defined |= _private_top_level_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -90,5 +89,27 @@ def test_library_private_names_are_all_referenced():
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(a.name for a in node.names)
+    return read
+
+
+def test_library_private_names_are_all_referenced():
+    # a private helper that nothing reads is dead code: each one must be
+    # read by name, as an attribute or through an import somewhere in the
+    # package
+    trees = [ast.parse(p.read_text()) for p in LIBRARY.glob("*.py")]
+    defined = set().union(*map(_private_top_level_names, trees))
     assert len(defined) >= 20
-    assert sorted(defined - read) == []
+    assert sorted(defined - _names_read(trees)) == []
+
+
+def test_library_public_names_are_exported_or_referenced():
+    # a public function or class that the package does not export is only
+    # alive if the package or the benchmark reads it
+    trees = [ast.parse(p.read_text()) for p in LIBRARY.glob("*.py")]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    unexported = defined - set(PUBLIC_NAMES)
+    assert len(unexported) >= 20
+    trees += [ast.parse(p.read_text()) for p in PERFBENCH.glob("*.py")]
+    assert sorted(unexported - _names_read(trees)) == []

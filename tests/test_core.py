@@ -3,17 +3,17 @@ from itertools import combinations
 import pytest
 
 from leraytop import (ComplexError, GuardExceeded, boundary_complex,
-                      clique_complex, empty_complex, induced, intersection,
-                      is_chordal, join, link, make_complex, reduced_betti,
-                      solid_simplex, subdivision, union, void_complex)
+                      empty_complex, induced, intersection, join, link,
+                      make_complex, reduced_betti, solid_simplex,
+                      subdivision, union, void_complex)
 from leraytop.core import (SimplicialComplex, _closed_facets, _maximal,
                            _strong_core, as_simplex)
 from leraytop.multiproj import random_complex
 from leraytop.rng import CounterRng
 
-from oracles import (all_faces, all_simplices_by_one_set, contains,
-                     enumerate_complexes, f_vector, link_facets_by_maximal,
-                     maximal_by_pairs)
+from oracles import (all_faces, all_simplices_by_one_set, clique_complex,
+                     contains, enumerate_complexes, f_vector, is_chordal,
+                     link_facets_by_maximal, maximal_by_pairs)
 
 
 def hollow_triangle():
@@ -266,8 +266,6 @@ def test_clique_complex_examples():
     k4 = clique_complex([(a, b) for a in range(4) for b in range(a)])
     assert k4.facets == frozenset({(0, 1, 2, 3)})
     assert is_chordal([(a, b) for a in range(4) for b in range(a)])
-    with pytest.raises(ComplexError):
-        clique_complex([(0, 0)])
 
 
 def test_clique_complex_isolated_vertices():

@@ -424,6 +424,19 @@ def test_cli_check_lproj_file_honours_the_guard(tmp_path, capsys):
     assert captured.err == "error: simplex enumeration exceeds guard 10\n"
 
 
+@pytest.mark.parametrize("facets", [[], [[]]], ids=["void", "empty"])
+def test_cli_check_lproj_needs_a_vertex(tmp_path, capsys, facets):
+    # exit 1 would claim the projection bound failed
+    f = tmp_path / "x.json"
+    f.write_text(json.dumps({"vertices": ["a", "b"], "facets": facets,
+                             "parts": [[0], [1]]}))
+    assert cli.run(["check", "lproj", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the projection bound needs X to have a vertex\n")
+
+
 def test_cli_check_file_may_follow_the_options(tmp_path, capsys):
     f = tmp_path / "ex.json"
     f.write_text(partitioned_to_json(extremal_example(2, 2)))

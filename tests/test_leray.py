@@ -4,8 +4,7 @@ import pytest
 
 from leraytop import homology, io_json
 from leraytop import leray as leray_mod
-from leraytop import (boundary_complex, check_chordal_characterization,
-                      clique_complex, induced, intersection,
+from leraytop import (boundary_complex, induced, intersection,
                       leray_by_definition, leray_by_links, leray_number,
                       link, make_complex, nerve, pieces_projection, project,
                       random_fr_family, solid_simplex)
@@ -15,9 +14,9 @@ from leraytop.multiproj import (extremal_example, random_complex,
                                 random_partitioned_complex)
 from leraytop.rng import CounterRng
 
-from oracles import (cross_polytope_boundary, enumerate_complexes,
-                     leray_links_unpruned, rp2_6, rp2_plus_two_points,
-                     rp2_suspension)
+from oracles import (clique_complex, cross_polytope_boundary,
+                     enumerate_complexes, is_chordal, leray_links_unpruned,
+                     rp2_6, rp2_plus_two_points, rp2_suspension)
 
 
 def test_definition_examples():
@@ -96,14 +95,14 @@ def test_intersection_subadditivity(seed):
 
 
 def test_chordal_characterization_examples():
-    rep = check_chordal_characterization([(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert rep == {"chordal": False, "leray": 2, "holds": True}
+    # G is chordal iff its clique complex has L <= 1
+    c4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    assert not is_chordal(c4) and leray_number(clique_complex(c4)) == 2
     tree = [(0, 1), (1, 2), (1, 3), (3, 4)]
-    rep = check_chordal_characterization(tree)
-    assert rep["chordal"] and rep["leray"] <= 1 and rep["holds"]
+    assert is_chordal(tree) and leray_number(clique_complex(tree)) <= 1
     k4_minus = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
-    rep = check_chordal_characterization(k4_minus)
-    assert rep["chordal"] and rep["leray"] <= 1 and rep["holds"]
+    assert is_chordal(k4_minus)
+    assert leray_number(clique_complex(k4_minus)) <= 1
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -114,7 +113,8 @@ def test_chordal_characterization_random(seed):
              if rng.uniform() < 0.5]
     if not edges:
         edges = [(0, 1)]
-    assert check_chordal_characterization(edges, n=n)["holds"]
+    L = leray_number(clique_complex(edges, n=n))
+    assert is_chordal(edges, n=n) == (L <= 1)
 
 
 def test_witness_recheck_rejects_tampering():

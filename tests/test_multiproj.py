@@ -262,6 +262,15 @@ def test_check_projection_examples():
     assert rep["holds"]
 
 
+@pytest.mark.parametrize("facets", [(), ((),)], ids=["void", "empty"])
+def test_check_projection_needs_a_vertex(facets):
+    # r is a maximum over the points of X: with none, r = 0 and the bound
+    # -1 would read as a failure of the theorem
+    px = make_partitioned(SimplicialComplex(2, facets), [(0,), (1,)])
+    with pytest.raises(ComplexError, match="needs X to have a vertex"):
+        check_projection_theorem(px)
+
+
 def test_check_mps_examples():
     parts = [(0, 1), (2, 3)]
     sim1 = make_partitioned(_mk([(0, 2)], vertex_count=4), parts)
