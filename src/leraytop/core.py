@@ -26,9 +26,8 @@ class GuardExceeded(ComplexError):
 def as_simplex(vertices) -> tuple:
     """Canonical simplex: strictly increasing tuple of vertex ids."""
     s = tuple(sorted(vertices))
-    for a, b in zip(s, s[1:]):
-        if a == b:
-            raise ComplexError("duplicate vertex in simplex %r" % (vertices,))
+    if len(set(s)) != len(s):
+        raise ComplexError("duplicate vertex in simplex %r" % (vertices,))
     if s and s[0] < 0:
         raise ComplexError("negative vertex id in %r" % (vertices,))
     return s
@@ -41,18 +40,20 @@ def _maximal(simplices) -> frozenset:
     when some facet kept before it contains it.  ``kept[v]`` has bit j set
     when the j-th kept facet contains v, so that is the case exactly when
     the AND of its vertices' masks is nonzero; the empty simplex is absorbed
-    by any kept facet.
+    by any kept facet.  Candidates are distinct, so one of the largest size
+    lies in no other and is kept untested.
     """
     kept = {}
     out = []
     for s in sorted(set(simplices), key=len, reverse=True):
-        common = -1 if out else 0
-        for v in s:
-            common &= kept.get(v, 0)
-            if not common:
-                break
-        if common:
-            continue
+        if out and len(s) < len(out[0]):
+            common = -1
+            for v in s:
+                common &= kept.get(v, 0)
+                if not common:
+                    break
+            if common:
+                continue
         bit = 1 << len(out)
         for v in s:
             kept[v] = kept.get(v, 0) | bit
@@ -79,15 +80,18 @@ def _closed_facets(simplices) -> frozenset:
 class SimplicialComplex:
     """A finite abstract simplicial complex, stored by its facets.
 
-    ``labels`` optionally names the vertices for reports.
+    ``labels`` optionally names the vertices for reports.  ``dim`` is the
+    dimension, taken once from the immutable facets: the largest facet
+    size minus one, so -1 for the empty complex and -2 for the void one.
     """
 
-    __slots__ = ("vertex_count", "facets", "labels", "_simplex_cache")
+    __slots__ = ("vertex_count", "facets", "labels", "dim", "_simplex_cache")
 
     def __init__(self, vertex_count, facets, labels=None):
         self.vertex_count = int(vertex_count)
-        self.facets = frozenset(tuple(f) for f in facets)
+        self.facets = frozenset(map(tuple, facets))
         self.labels = tuple(labels) if labels is not None else None
+        self.dim = max(map(len, self.facets), default=-1) - 1
         self._simplex_cache = None
 
     # -- basic queries -------------------------------------------------
@@ -99,13 +103,6 @@ class SimplicialComplex:
         """True for the complex whose only simplex is the empty one."""
         return self.facets == frozenset({()})
 
-    @property
-    def dim(self):
-        """Dimension; -1 for the empty complex, -2 for the void complex."""
-        if not self.facets:
-            return -2
-        return max(len(f) for f in self.facets) - 1
-
     def all_simplices(self, include_empty=False, guard=DEFAULT_SIMPLEX_GUARD):
         """Every simplex, sorted by (dimension, lex).  Guarded enumeration.
 
@@ -115,16 +112,20 @@ class SimplicialComplex:
         total over all sizes, empty simplex included, is checked against
         the guard.  The total only grows, so the enumeration is refused
         exactly when the whole list is longer than the guard, and stops at
-        the first facet that takes it past.
+        the first facet that takes it past.  A facet f has 2^|f| faces, so
+        when these sum to at most the guard the list cannot pass it, and
+        the running total is not taken.
         """
         if self._simplex_cache is None:
+            facets = sorted(self.facets, key=len, reverse=True)
+            checked = sum(1 << len(f) for f in facets) > guard
             levels = []
-            for f in sorted(self.facets, key=len, reverse=True):
+            for f in facets:
                 if not levels:
                     levels = [set() for _ in range(len(f) + 1)]
                 for q, level in enumerate(levels[:len(f) + 1]):
                     level.update(combinations(f, q))
-                if sum(map(len, levels)) > guard:
+                if checked and sum(map(len, levels)) > guard:
                     raise GuardExceeded(
                         "simplex enumeration exceeds guard %d" % guard)
             self._simplex_cache = []
@@ -141,10 +142,7 @@ class SimplicialComplex:
         return out
 
     def used_vertices(self):
-        out = set()
-        for f in self.facets:
-            out.update(f)
-        return out
+        return set().union(*self.facets)
 
     # -- value semantics ----------------------------------------------
 
@@ -359,7 +357,9 @@ def _saturated_chains(top):
 
 
 def _order_complex(elements, chain_facets):
-    elements = sorted(set(elements), key=lambda t: (len(t), t))
+    """The order complex on ``elements``: vertex i is the i-th element, and
+    each chain is a facet.  ``elements`` must be a duplicate-free list in
+    (dimension, lex) order, as ``all_simplices`` gives it."""
     if not elements:
         return OrderComplex(0, ())
     idx = {e: i for i, e in enumerate(elements)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import DEFAULT_SIMPLEX_GUARD, SimplicialComplex, _bits
+from .core import DEFAULT_SIMPLEX_GUARD, SimplicialComplex
 
 
 @dataclass
@@ -147,25 +147,27 @@ def _hollow_simplex(X: SimplicialComplex) -> bool:
     """True when X, of dimension d >= 0, contains the boundary of a
     (d+1)-simplex: d+2 vertices whose d+2 d-faces are all facets of X.
 
-    ``comp[g]`` has bit w set when g + w is a d-facet, for each
-    codimension-1 face g of a d-facet.  A vertex w outside the d-facet f is
-    in the AND of comp[f - u] over u in f exactly when every f - u + w is a
-    d-facet, i.e. when f + w is such a hollow simplex.
+    Works on the bitmasks of the d-facets.  ``comp[g]`` has bit w set when
+    g + w is a d-facet, for each codimension-1 face g of a d-facet, and
+    the face of f without its vertex bit u is f ^ u.  A vertex w outside
+    the d-facet f is in the AND of comp[f ^ u] over u in f exactly when
+    every f - u + w is a d-facet, i.e. when f + w is such a hollow simplex.
     """
     d = X.dim
     if d < 0:
         return False
-    top = [f for f in X.facets if len(f) == d + 1]
+    top = [[1 << v for v in f] for f in X.facets if len(f) == d + 1]
     comp = {}
-    for f in top:
-        for i, u in enumerate(f):
-            g = f[:i] + f[i + 1:]
-            comp[g] = comp.get(g, 0) | 1 << u
-    for f in top:
+    for us in top:
+        f = sum(us)
+        for u in us:
+            comp[f ^ u] = comp.get(f ^ u, 0) | u
+    for us in top:
+        f = sum(us)
         common = -1
-        for i in range(d + 1):
-            common &= comp[f[:i] + f[i + 1:]]
-        if common & ~_bits(f):
+        for u in us:
+            common &= comp[f ^ u]
+        if common & ~f:
             return True
     return False
 

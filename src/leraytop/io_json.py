@@ -50,6 +50,28 @@ def _load_object(text, *fields):
     return doc
 
 
+def _check_facets(facets, n):
+    """Raise FormatError naming the first facet that is not a list of
+    vertex ids below n.
+
+    The ids are flattened once, and ``set``, ``min`` and ``max`` over
+    their types and values clear a well-formed list; only a malformed one
+    is walked facet by facet.  JSON integers load as int and booleans as
+    bool, so the type set is {int} exactly when every id passes
+    ``_is_int``.
+    """
+    if set(map(type, facets)) <= {list}:
+        ids = [v for f in facets for v in f]
+        if not ids or (set(map(type, ids)) == {int}
+                       and 0 <= min(ids) and max(ids) < n):
+            return
+    for f in facets:
+        if not isinstance(f, list) or not all(
+                _is_int(v) and 0 <= v < n for v in f):
+            raise FormatError("facet %r is not a list of vertex ids below %d"
+                              % (f, n))
+
+
 def _complex_from_doc(doc) -> SimplicialComplex:
     vertices, facets = doc["vertices"], doc.get("facets")
     if not isinstance(vertices, list):
@@ -57,11 +79,7 @@ def _complex_from_doc(doc) -> SimplicialComplex:
     if not isinstance(facets, list):
         raise FormatError("field 'facets' must be a list of vertex-id lists")
     n = len(vertices)
-    for f in facets:
-        if not isinstance(f, list) or not all(
-                _is_int(v) and 0 <= v < n for v in f):
-            raise FormatError("facet %r is not a list of vertex ids below %d"
-                              % (f, n))
+    _check_facets(facets, n)
     try:
         return make_complex(facets, allow_void=True, vertex_count=n,
                             labels=[str(v) for v in vertices])

@@ -68,8 +68,7 @@ def make_partitioned(X: SimplicialComplex, parts) -> PartitionedComplex:
         for v in p:
             owner[v] = i
     for f in X.facets:
-        ps = [owner[v] for v in f]
-        if len(set(ps)) != len(ps):
+        if len(set(map(owner.__getitem__, f))) != len(f):
             raise ComplexError(
                 "facet %r meets a part twice; induced part subcomplexes "
                 "must be 0-dimensional" % (f,))
@@ -91,13 +90,19 @@ def _section_table(px: PartitionedComplex,
     one pass over X's simplices, enumerated under ``guard``.
 
     Parts are 0-dimensionally induced, so these are the sections over the
-    image simplex.  Each is kept as X lists it, in vertex order.
+    image simplex.  Each is kept as X lists it, in vertex order.  A simplex
+    is filed under the bitmask of its parts, the sum of its vertices' part
+    bits, and each mask becomes the sorted parts of its first section once.
+    Masks and image simplices correspond one to one, so the keys come in
+    the order of their first section.
     """
     owner = px.part_of()
-    table = {}
+    bit = [1 << i for i in owner]
+    by_mask = {}
     for s in px.complex.all_simplices(guard=guard):
-        table.setdefault(tuple(sorted(owner[v] for v in s)), []).append(s)
-    return table
+        by_mask.setdefault(sum(map(bit.__getitem__, s)), []).append(s)
+    return {tuple(sorted(map(owner.__getitem__, secs[0]))): secs
+            for secs in by_mask.values()}
 
 
 def _sections(px: PartitionedComplex, guard=DEFAULT_SIMPLEX_GUARD) -> dict:
@@ -219,17 +224,38 @@ def multiple_point_complex(px: PartitionedComplex, k,
 # -- checkers ------------------------------------------------------------
 
 
+def _image(px: PartitionedComplex) -> SimplicialComplex:
+    """``project(px)`` read off the section table that ``_sections`` has
+    stored on ``px``.
+
+    The table's keys are the nonempty simplices of the image, and a face of
+    a section is a section over the face, so they are closed under faces:
+    their facets are the image's, and with the empty simplex, sorted by
+    (dimension, lex), they are its simplex list, stored with it.  There are
+    no more of them than X has simplices, so a guard that let X's list
+    through lets this one through.  An X with no vertex is its own image.
+    """
+    keys = list(px._sections)
+    if not keys:
+        return SimplicialComplex(px.m, px.complex.facets)
+    Y = SimplicialComplex(px.m, _closed_facets(keys))
+    Y._simplex_cache = [()] + sorted(keys, key=lambda t: (len(t), t))
+    return Y
+
+
 def check_projection_theorem(px: PartitionedComplex,
                              guard=DEFAULT_SIMPLEX_GUARD):
     """Verify L(Y) <= r*L(X) + r - 1 for Y the image of the projection.
 
     r is a maximum over the points of X, so an X with no vertex (the void
-    or the empty complex) raises ComplexError."""
+    or the empty complex) raises ComplexError.  ``fiber_bound`` builds the
+    section table, and Y is read off it (``_image``), so X's simplices are
+    listed once for both."""
     lx = leray_by_links(px.complex, guard=guard).value
     r, witness = fiber_bound(px, guard=guard)
     if r == 0:
         raise ComplexError("the projection bound needs X to have a vertex")
-    ly = leray_by_links(project(px), guard=guard).value
+    ly = leray_by_links(_image(px), guard=guard).value
     bound = r * lx + r - 1
     return {
         "claim": "projection_bound",

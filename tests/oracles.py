@@ -368,6 +368,16 @@ def mpc_by_sections(pxs, guard=DEFAULT_MPC_SIMPLEX_GUARD) -> MultiPointComplex:
         tuple(key[0] for key in keys), tuple(key[1] for key in keys), equal)
 
 
+def section_table_by_sorting(px):
+    """The section table with each simplex filed under its sorted tuple of
+    parts: the form before part bitmasks."""
+    owner = px.part_of()
+    table = {}
+    for s in px.complex.all_simplices():
+        table.setdefault(tuple(sorted(owner[v] for v in s)), []).append(s)
+    return table
+
+
 def fiber_bound_by_sections(px):
     """(r, witness) by enumerating the sections over every image simplex."""
     best, witness = 0, None

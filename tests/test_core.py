@@ -88,6 +88,13 @@ def test_all_simplices_guard_refuses_past_the_count_fresh_and_cached():
             Y.all_simplices(guard=n - 1)
 
 
+def test_dim_is_the_largest_facet_size_minus_one():
+    for X in _enumeration_cases():
+        want = max(len(f) for f in X.facets) - 1 if X.facets else -2
+        assert X.dim == want, X
+    assert (void_complex(3).dim, empty_complex(2).dim) == (-2, -1)
+
+
 def test_induced_examples():
     ht = hollow_triangle()
     edge = induced(ht, {0, 1})

@@ -222,6 +222,53 @@ def test_readers_reject_booleans():
         family_from_json('{"d": 1, "members": [1]}')
 
 
+# Each facet list has a good facet, then the first bad one, then a second
+# bad one; the reader must name the first.
+_BAD_FACETS = [
+    ("bool", '[[0, 1], [1, true], [0, true]]', "[1, True]"),
+    ("float", '[[0, 1], [1, 1.0], [2, 2.0]]', "[1, 1.0]"),
+    ("string", '[[0, 1], [1, "2"], ["0"]]', "[1, '2']"),
+    ("negative", '[[0, 1], [1, -1], [-2]]', "[1, -1]"),
+    ("id-n", '[[0, 1], [1, 3], [3]]', "[1, 3]"),
+    ("non-list", '[[0, 1], 2, [3]]', "2"),
+    ("nested", '[[0, 1], [1, [2]], [[0]]]', "[1, [2]]"),
+]
+_THREE_PARTS = ', "parts": [[0], [1], [2]]'
+
+
+def _facets_doc(facets, extra=""):
+    return '{"vertices": ["a", "b", "c"], "facets": %s%s}' % (facets, extra)
+
+
+@pytest.mark.parametrize("facets,named", [c[1:] for c in _BAD_FACETS],
+                         ids=[c[0] for c in _BAD_FACETS])
+def test_readers_name_the_first_bad_facet(facets, named, tmp_path, capsys):
+    message = "facet %s is not a list of vertex ids below 3" % named
+    with pytest.raises(FormatError) as exc:
+        complex_from_json(_facets_doc(facets))
+    assert str(exc.value) == message
+    with pytest.raises(FormatError) as exc:
+        partitioned_from_json(_facets_doc(facets, _THREE_PARTS))
+    assert str(exc.value) == message
+    f = tmp_path / "bad.json"
+    f.write_text(_facets_doc(facets, _THREE_PARTS))
+    assert cli.run(["check", "lproj", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
+def test_readers_keep_the_simplex_and_part_messages():
+    with pytest.raises(FormatError) as exc:
+        complex_from_json(_facets_doc("[[0, 1], [2, 2]]"))
+    assert str(exc.value) == "duplicate vertex in simplex [2, 2]"
+    with pytest.raises(FormatError) as exc:
+        partitioned_from_json(_facets_doc("[[0, 1], [0, 2]]",
+                                          ', "parts": [[0, 2], [1]]'))
+    assert str(exc.value) == ("facet (0, 2) meets a part twice; induced part "
+                              "subcomplexes must be 0-dimensional")
+
+
 _COMMON_BAD = ["{not json", "", "[1, 2]", '"text"',
                "[" * 100000 + "]" * 100000]
 _COMPLEX_BAD = _COMMON_BAD + [

@@ -18,7 +18,8 @@ from leraytop.icss import e1_page, sym_action
 from leraytop.rng import CounterRng
 
 from oracles import (contains, f_vector, fiber_bound_by_sections,
-                     is_isomorphism, mpc_by_sections, relabel)
+                     is_isomorphism, mpc_by_sections, relabel,
+                     section_table_by_sorting)
 
 
 def two_points_one_part():
@@ -385,6 +386,37 @@ def test_sections_are_the_filtered_product(seed):
         lists = [px.parts[i] for i in sigma]
         assert sorted(table[sigma]) == sorted(
             tuple(sorted(c)) for c in product(*lists) if contains(X, c))
+
+
+def _section_corpus():
+    """Partitioned complexes for the section-table kernels: random lproj
+    instances, tight examples, parts that are not vertex intervals (the
+    edge (1, 3) lies over the parts (1, 0)), and an X with no vertex."""
+    pxs = [_lproj_instance(seed, 12) for seed in range(60)]
+    pxs += [extremal_example(r, d) for r, d in ((2, 2), (3, 2), (2, 3))]
+    pxs.append(make_partitioned(make_complex([[0, 1], [0, 2], [1, 3],
+                                              [2, 3]]), ((0, 3), (1, 2))))
+    pxs += [make_partitioned(SimplicialComplex(2, facets), [(0,), (1,)])
+            for facets in ((), ((),))]
+    return pxs
+
+
+def test_section_table_matches_the_sorting_reference():
+    for px in _section_corpus():
+        table = _section_table(px)
+        # the same keys, in the same order, with the same section lists
+        assert list(table.items()) == list(
+            section_table_by_sorting(px).items()), px
+
+
+def test_image_read_off_the_sections_is_the_projection():
+    for px in _section_corpus():
+        multiproj._sections(px)
+        Y, P = multiproj._image(px), project(px)
+        assert (Y.vertex_count, Y.facets) == (P.vertex_count, P.facets), px
+        assert Y.dim == P.dim
+        assert Y.all_simplices(include_empty=True) == P.all_simplices(
+            include_empty=True), px
 
 
 def test_sections_leave_no_reference_cycles():
