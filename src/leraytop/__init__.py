@@ -5,14 +5,11 @@ complexes and their projections, multiple-point complexes with their
 symmetric-group action, and Helly-number verification for box families.
 """
 
-from .core import (ComplexError, GuardExceeded, OrderComplex,
-                   SimplicialComplex, boundary_complex, empty_complex,
-                   induced, intersection, join, link, make_complex,
-                   solid_simplex, subdivision, union, void_complex)
-from .homology import (BettiVector, ChainBoundary, boundary_matrices,
-                       euler_characteristic, reduced_betti, unreduced_betti)
-from .leray import (LerayCertificate, leray_by_definition, leray_by_links,
-                    leray_number)
+from .core import (ComplexError, GuardExceeded, SimplicialComplex, induced,
+                   intersection, link, make_complex, subdivision)
+from .homology import (BettiVector, euler_characteristic, reduced_betti,
+                       unreduced_betti)
+from .leray import LerayCertificate, leray_by_definition, leray_by_links
 from .multiproj import (MultiPointComplex, PartitionedComplex,
                         check_intersection_bound, check_mps_vanishing,
                         check_projection_theorem, extremal_example,

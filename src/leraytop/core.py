@@ -162,19 +162,7 @@ class SimplicialComplex:
             self.vertex_count, " " + kind if kind else "", facets)
 
 
-class OrderComplex(SimplicialComplex):
-    """A complex whose vertices are labeled by simplices of a source complex."""
-
-
 # -- constructions -----------------------------------------------------
-
-
-def void_complex(n=0):
-    return SimplicialComplex(n, ())
-
-
-def empty_complex(n=0):
-    return SimplicialComplex(n, ((),))
 
 
 def make_complex(facet_lists, allow_void=False, vertex_count=None, labels=None):
@@ -192,11 +180,6 @@ def make_complex(facet_lists, allow_void=False, vertex_count=None, labels=None):
     if top >= n:
         raise ComplexError("vertex id %d outside table of size %d" % (top, n))
     return SimplicialComplex(n, _maximal(facets), labels=labels)
-
-
-def solid_simplex(vertices):
-    """The full simplex on the given vertex set."""
-    return make_complex([as_simplex(vertices)])
 
 
 def induced(X, S):
@@ -299,39 +282,10 @@ def _strong_core(X, facets=None):
                          for f in facets], labels=X.labels)
 
 
-def join(X1, X2):
-    """Join of two complexes; the vertex tables are concatenated."""
-    n1 = X1.vertex_count
-    n = n1 + X2.vertex_count
-    if X1.is_void() or X2.is_void():
-        return SimplicialComplex(n, ())
-    facets = {f1 + tuple(v + n1 for v in f2)
-              for f1 in X1.facets for f2 in X2.facets}
-    labels = None
-    if X1.labels is not None and X2.labels is not None:
-        labels = X1.labels + X2.labels
-    return SimplicialComplex(n, facets, labels=labels)
-
-
-def boundary_complex(A):
-    """The boundary of the simplex on vertex set A (a sphere S^{|A|-2})."""
-    A = as_simplex(A)
-    if not A:
-        raise ComplexError("boundary of the empty vertex set is undefined")
-    facets = list(combinations(A, len(A) - 1))
-    return SimplicialComplex(1 + A[-1], facets)
-
-
 def _check_same_table(X1, X2):
     if X1.vertex_count != X2.vertex_count:
         raise ComplexError("complexes are on different vertex tables "
                            "(%d vs %d)" % (X1.vertex_count, X2.vertex_count))
-
-
-def union(X1, X2):
-    """Union of two complexes on a shared vertex table."""
-    _check_same_table(X1, X2)
-    return SimplicialComplex(X1.vertex_count, _maximal(X1.facets | X2.facets))
 
 
 def intersection(X1, X2):
@@ -361,12 +315,12 @@ def _order_complex(elements, chain_facets):
     each chain is a facet.  ``elements`` must be a duplicate-free list in
     (dimension, lex) order, as ``all_simplices`` gives it."""
     if not elements:
-        return OrderComplex(0, ())
+        return SimplicialComplex(0, ())
     idx = {e: i for i, e in enumerate(elements)}
     # nested saturated chains would end at nested facets, so at one facet,
     # and have one length: the chains are already pairwise incomparable
     facets = {tuple(sorted(idx[e] for e in chain)) for chain in chain_facets}
-    return OrderComplex(len(elements), facets, labels=elements)
+    return SimplicialComplex(len(elements), facets, labels=elements)
 
 
 def subdivision(K, guard=DEFAULT_SIMPLEX_GUARD):

@@ -3,10 +3,11 @@
 Every rank is taken by one routine, ``rank_of_rows``: fraction-free
 elimination over arbitrary-precision integers (rows are rescaled by their
 gcd after each pivot step), so no floating point is involved anywhere.
-``reduced_betti`` gives the full Betti vector.  ``top_nonzero_degree``
-answers the Leray scan's one question, the top nonzero degree, by one
-certificate (a hollow simplex, for the top degree) followed by exact ranks
-from the top down.
+One top-down loop (``_betti_from_top``) gives the reduced Betti numbers
+degree by degree, one new rank per degree.  ``reduced_betti`` takes the
+whole vector from it.  ``top_nonzero_degree`` answers the Leray scan's one
+question, the top nonzero degree, by one certificate (a hollow simplex, for
+the top degree) and otherwise by the first nonzero degree the loop gives.
 """
 from __future__ import annotations
 
@@ -14,22 +15,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .core import DEFAULT_SIMPLEX_GUARD, SimplicialComplex
-
-
-@dataclass
-class ChainBoundary:
-    """Bases and boundary matrices of the augmented rational chain complex.
-
-    ``bases[q]`` lists the q-simplices in lexicographic order, for q from -1
-    (the empty simplex, handling reduced homology) up to dim(X).
-    ``matrices[q]`` is the boundary from degree q to q-1, stored as sparse
-    rows (one dict col->entry per element of ``bases[q-1]``).
-    """
-    bases: dict
-    matrices: dict
-
-    def dim_chain(self, q):
-        return len(self.bases.get(q, ()))
 
 
 @dataclass(frozen=True)
@@ -114,14 +99,21 @@ def _boundary_rows(bases, index, q):
     return rows
 
 
-def boundary_matrices(X: SimplicialComplex,
-                      guard=DEFAULT_SIMPLEX_GUARD) -> ChainBoundary:
-    """Boundary matrices of X with the sorted-orientation sign convention,
-    augmented with the all-ones map to the empty simplex."""
+def _betti_from_top(X: SimplicialComplex, above, guard):
+    """Yield (q, dim C_q, reduced beta_q) of a non-void X for q from dim X
+    down to above + 1, from one guarded enumeration.
+
+    beta_q = dim C_q - rank d_q - rank d_{q+1}, where d_q is the boundary
+    out of degree q.  The rank of d_{q+1} is the one the degree above took
+    (0 at the top, as C_{d+1} = 0), so each degree costs one new rank, and
+    d_{-1} = 0 takes none.
+    """
     bases, index = _chain_bases(X, guard)
-    matrices = {q: _boundary_rows(bases, index, q)
-                for q in sorted(bases) if q >= 0}
-    return ChainBoundary(bases, matrices)
+    upper = 0
+    for q in range(X.dim, above, -1):
+        rank = rank_of_rows(_boundary_rows(bases, index, q)) if q >= 0 else 0
+        yield q, len(bases[q]), len(bases[q]) - rank - upper
+        upper = rank
 
 
 def reduced_betti(X: SimplicialComplex,
@@ -129,17 +121,16 @@ def reduced_betti(X: SimplicialComplex,
     """Reduced rational Betti numbers of X, computed exactly.
 
     Conventions: the void complex has all groups zero; the empty complex
-    has rank one in degree -1 only.
+    has rank one in degree -1 only.  The Euler characteristic comes from
+    the face counts, not from the Betti numbers, so the two can be checked
+    against each other.
     """
     if X.is_void():
         return BettiVector((), 0, 0)
-    cb = boundary_matrices(X, guard=guard)
-    ranks = {q: rank_of_rows(m) for q, m in cb.matrices.items()}
-    d = X.dim
-    reduced = tuple(cb.dim_chain(q) - ranks.get(q, 0) - ranks.get(q + 1, 0)
-                    for q in range(d + 1))
-    minus_one = 1 - ranks.get(0, 0)
-    euler = sum((-1) ** q * cb.dim_chain(q) for q in range(d + 1))
+    # degrees -1, 0, ..., dim X
+    (_, _, minus_one), *rest = reversed(list(_betti_from_top(X, -2, guard)))
+    reduced = tuple(beta for _, _, beta in rest)
+    euler = sum((-1) ** q * dim_q for q, dim_q, _ in rest)
     return BettiVector(reduced, minus_one, euler)
 
 
@@ -184,9 +175,7 @@ def top_nonzero_degree(X: SimplicialComplex, above=-1,
     cancel it and beta_d(Q) > 0.  No chain basis is built then.
 
     Otherwise degrees are tried from d downwards by exact ranks
-    (``rank_of_rows``).  beta_q needs the ranks of the boundaries out of
-    degrees q and q+1, and the rank for q+1 is the one the degree above
-    took (0 at the top, as C_{d+1} = 0), so each degree costs one new rank.
+    (``_betti_from_top``), one new rank per degree, until one is nonzero.
     """
     if X.is_void() or X.dim <= above:
         return None
@@ -195,14 +184,8 @@ def top_nonzero_degree(X: SimplicialComplex, above=-1,
     X.all_simplices(include_empty=True, guard=guard)
     if _hollow_simplex(X):
         return d
-    bases, index = _chain_bases(X, guard)
-    upper = 0
-    for q in range(d, above, -1):
-        rank = rank_of_rows(_boundary_rows(bases, index, q))
-        if len(bases[q]) - rank - upper:
-            return q
-        upper = rank
-    return None
+    return next((q for q, _, beta in _betti_from_top(X, above, guard)
+                 if beta), None)
 
 
 def unreduced_betti(X: SimplicialComplex, guard=DEFAULT_SIMPLEX_GUARD):

@@ -132,11 +132,6 @@ def leray_by_links(X: SimplicialComplex,
     return LerayCertificate(best + 1, witness, "links")
 
 
-def leray_number(X, guard=DEFAULT_SIMPLEX_GUARD) -> int:
-    """The production Leray number (link method)."""
-    return leray_by_links(X, guard=guard).value
-
-
 def check_witness(X, cert: LerayCertificate) -> bool:
     """Re-check a certificate: its witness complex must have a nonzero
     reduced Betti number at the recorded degree."""

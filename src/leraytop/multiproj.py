@@ -15,7 +15,8 @@ from itertools import combinations, product
 from math import prod
 
 from .core import (DEFAULT_SIMPLEX_GUARD, ComplexError, GuardExceeded,
-                   SimplicialComplex, _closed_facets, _maximal, make_complex)
+                   SimplicialComplex, _closed_facets, _maximal, intersection,
+                   make_complex)
 from .homology import reduced_betti
 from .leray import leray_by_links
 from .rng import CounterRng
@@ -124,11 +125,18 @@ def _mpc_simplex_count(tables) -> int:
 
 
 def _check_vertex_bound(parts, k):
-    """Refuse a k-fold multiple-point complex with more vertices than
-    DEFAULT_MPC_VERTEX_GUARD, read at call time."""
-    if sum(len(p) ** k for p in parts) > DEFAULT_MPC_VERTEX_GUARD:
+    """Refuse a k-fold multiple-point complex whose vertex labels hold more
+    than DEFAULT_MPC_VERTEX_GUARD entries, read at call time: M_k has
+    sum |part|^k vertices, each labelled by a k-tuple.
+
+    Once k reaches the guard's bit length, a part of two or more vertices
+    passes the guard alone, so no power is taken past that exponent and a
+    huge k builds no huge integer."""
+    guard = DEFAULT_MPC_VERTEX_GUARD
+    e = min(k, guard.bit_length())
+    if k * sum(len(p) ** e for p in parts) > guard:
         raise GuardExceeded("multiple-point vertex bound exceeds guard %d"
-                            % DEFAULT_MPC_VERTEX_GUARD)
+                            % guard)
 
 
 def _check_simplex_count(count, guard):
@@ -218,6 +226,8 @@ def multiple_point_complex(px: PartitionedComplex, k,
     """M_k: the k-fold multiple-point complex of a single complex."""
     if k < 1:
         raise ComplexError("k must be at least 1")
+    # refuse before the list of k factors is built
+    _check_vertex_bound(px.parts, k)
     return generalized_mpc([px] * k, guard=guard)
 
 
@@ -287,7 +297,6 @@ def check_mps_vanishing(pxs, guard=DEFAULT_MPC_SIMPLEX_GUARD):
 
 def check_intersection_bound(Xs, guard=DEFAULT_SIMPLEX_GUARD):
     """Verify L of the intersection against the sum of Leray numbers."""
-    from .core import intersection
     if not Xs:
         raise ComplexError("at least one complex is required")
     inter = Xs[0]

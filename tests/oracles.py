@@ -2,8 +2,8 @@
 simplex-set operations, exhaustive enumeration of small complexes, a few
 named complexes with torsion or without hollow simplices, the unpruned
 or pre-optimisation forms of the library's fast paths, and small builders
-and invariants that only the tests need, graph clique complexes and
-chordality among them.
+and invariants that only the tests need: simplex boundaries, joins and
+unions, graph clique complexes and chordality among them.
 
 Everything here is deliberately naive and shares no code path with the
 library's homology/rank implementation.
@@ -11,8 +11,8 @@ library's homology/rank implementation.
 from itertools import combinations
 
 from leraytop import (BoxFamily, ComplexError, SimplicialComplex, UnionFamily,
-                      boundary_complex, join, make_box, make_complex, project)
-from leraytop.core import _closed_facets, as_simplex
+                      leray_by_links, make_box, make_complex, project)
+from leraytop.core import _check_same_table, _closed_facets, as_simplex
 from leraytop.helly import (FamilyError, FrFamily, FrValidationError,
                             box_meet, boxes_disjoint)
 from leraytop.icss import E1Page, alt_betti
@@ -29,6 +29,55 @@ def all_faces(facets, include_empty=False):
     if include_empty:
         out.add(())
     return out
+
+
+def void_complex(n=0):
+    """The complex with no simplex at all, on n vertices."""
+    return SimplicialComplex(n, ())
+
+
+def empty_complex(n=0):
+    """The complex whose only simplex is the empty one, on n vertices."""
+    return SimplicialComplex(n, ((),))
+
+
+def solid_simplex(vertices):
+    """The full simplex on the given vertex set."""
+    return make_complex([as_simplex(vertices)])
+
+
+def boundary_complex(A):
+    """The boundary of the simplex on vertex set A (a sphere S^{|A|-2})."""
+    A = as_simplex(A)
+    if not A:
+        raise ComplexError("boundary of the empty vertex set is undefined")
+    return SimplicialComplex(1 + A[-1], combinations(A, len(A) - 1))
+
+
+def join(X1, X2):
+    """Join of two complexes; the vertex tables are concatenated."""
+    n1 = X1.vertex_count
+    n = n1 + X2.vertex_count
+    if X1.is_void() or X2.is_void():
+        return SimplicialComplex(n, ())
+    facets = {f1 + tuple(v + n1 for v in f2)
+              for f1 in X1.facets for f2 in X2.facets}
+    labels = None
+    if X1.labels is not None and X2.labels is not None:
+        labels = X1.labels + X2.labels
+    return SimplicialComplex(n, facets, labels=labels)
+
+
+def union(X1, X2):
+    """Union of two complexes on a shared vertex table."""
+    _check_same_table(X1, X2)
+    return SimplicialComplex(X1.vertex_count,
+                             maximal_by_pairs(X1.facets | X2.facets))
+
+
+def leray_number(X) -> int:
+    """The Leray number by the link scan."""
+    return leray_by_links(X).value
 
 
 def contains(X: SimplicialComplex, simplex) -> bool:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from leraytop import (boundary_complex, check_amenta, check_hl,
+from leraytop import (check_amenta, check_hl,
                       check_intersection_bound, check_mps_vanishing,
                       check_projection_theorem, extremal_example, fiber_bound,
                       helly_number, leray_by_definition, leray_by_links,
@@ -21,14 +21,14 @@ from leraytop.cli import _hmps_instances, _inter_instances, _lproj_instance
 from leraytop.core import GuardExceeded
 from leraytop.icss import (check_alt_chain_iso, check_euler,
                            check_proof_vanishing, e1_page)
-from leraytop.leray import leray_number
 from leraytop.multiproj import (make_partitioned, multiple_point_complex,
                                 random_complex)
 from leraytop.rng import CounterRng
 
 from childenv import child_env
-from oracles import (atom_family, clique_complex, enumerate_complexes,
-                     interval_family, is_chordal)
+from oracles import (atom_family, boundary_complex, clique_complex,
+                     enumerate_complexes, interval_family, is_chordal,
+                     leray_number)
 
 
 def _verdict(num, ok, detail):

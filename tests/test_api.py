@@ -7,33 +7,32 @@ from pathlib import Path
 import leraytop
 
 PUBLIC_NAMES = [
-    "AltChainComplex", "BettiVector", "Box", "BoxFamily",
-    "ChainBoundary", "ComplexError", "E1Page", "FrFamily", "GuardExceeded",
-    "HellyReport", "LerayCertificate", "MultiPointComplex", "OrderComplex",
-    "PartitionedComplex", "SimplicialComplex", "UnionFamily", "alt_betti",
-    "alt_chain_complex", "boundary_complex", "boundary_matrices",
-    "check_alt_chain_iso", "check_amenta", "check_euler", "check_hl",
-    "check_intersection_bound", "check_mps_vanishing",
-    "check_projection_theorem", "check_proof_vanishing",
-    "double_point_closure", "e1_page", "empty_complex",
+    "AltChainComplex", "BettiVector", "Box", "BoxFamily", "ComplexError",
+    "E1Page", "FrFamily", "GuardExceeded", "HellyReport", "LerayCertificate",
+    "MultiPointComplex", "PartitionedComplex", "SimplicialComplex",
+    "UnionFamily", "alt_betti", "alt_chain_complex", "check_alt_chain_iso",
+    "check_amenta", "check_euler", "check_hl", "check_intersection_bound",
+    "check_mps_vanishing", "check_projection_theorem",
+    "check_proof_vanishing", "double_point_closure", "e1_page",
     "euler_characteristic", "extremal_example", "fiber_bound",
     "generalized_mpc", "helly_number", "helly_number_direct", "induced",
-    "intersection", "join",
-    "leray_by_definition", "leray_by_links", "leray_number", "link",
+    "intersection", "leray_by_definition", "leray_by_links", "link",
     "make_box", "make_complex", "make_fr_family", "make_partitioned",
     "multiple_point_complex", "nerve", "pieces_projection", "project",
     "random_fr_family", "random_partitioned_complex", "reduced_betti",
-    "solid_simplex", "subdivision", "sym_action", "union",
-    "unreduced_betti", "void_complex",
+    "subdivision", "sym_action", "unreduced_betti",
 ]
 
 
-def test_public_names_are_pinned():
+def _exported():
     # submodules are left out: which ones are attributes depends on what
     # has been imported so far
-    names = sorted(n for n in dir(leraytop) if not n.startswith("_")
-                   and not isinstance(getattr(leraytop, n), types.ModuleType))
-    assert names == PUBLIC_NAMES
+    return sorted(n for n in dir(leraytop) if not n.startswith("_")
+                  and not isinstance(getattr(leraytop, n), types.ModuleType))
+
+
+def test_public_names_are_pinned():
+    assert _exported() == PUBLIC_NAMES
 
 
 def _unused_imports(path):
@@ -113,3 +112,23 @@ def test_library_public_names_are_exported_or_referenced():
     assert len(unexported) >= 20
     trees += [ast.parse(p.read_text()) for p in PERFBENCH.glob("*.py")]
     assert sorted(unexported - _names_read(trees)) == []
+
+
+# Exported names that nothing outside the tests reads, each with its reason:
+UNREAD_EXPORTS = [
+    # the orbit scan's alternating homology, the reference the closed form
+    # is tested against; it leaves the library with the rest of the scan
+    "alt_betti",
+    # perfbench/layers.py names it only in a string, "helly.make_box"
+    "make_box",
+]
+
+
+def test_exported_names_are_read_outside_the_tests():
+    # an exported name that only the tests read belongs in tests/oracles.py;
+    # the package's __init__ only re-exports, so its reads do not count
+    trees = [ast.parse(p.read_text()) for p in LIBRARY.glob("*.py")
+             if p.name != "__init__.py"]
+    trees += [ast.parse(p.read_text()) for p in PERFBENCH.glob("*.py")]
+    read = _names_read(trees)
+    assert [n for n in _exported() if n not in read] == UNREAD_EXPORTS

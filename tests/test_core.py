@@ -2,18 +2,18 @@ from itertools import combinations
 
 import pytest
 
-from leraytop import (ComplexError, GuardExceeded, boundary_complex,
-                      empty_complex, induced, intersection, join, link,
-                      make_complex, reduced_betti, solid_simplex,
-                      subdivision, union, void_complex)
+from leraytop import (ComplexError, GuardExceeded, induced, intersection,
+                      link, make_complex, reduced_betti, subdivision)
 from leraytop.core import (SimplicialComplex, _closed_facets, _maximal,
                            _strong_core, as_simplex)
 from leraytop.multiproj import random_complex
 from leraytop.rng import CounterRng
 
-from oracles import (all_faces, all_simplices_by_one_set, clique_complex,
-                     contains, enumerate_complexes, f_vector, is_chordal,
-                     link_facets_by_maximal, maximal_by_pairs)
+from oracles import (all_faces, all_simplices_by_one_set, boundary_complex,
+                     clique_complex, contains, empty_complex,
+                     enumerate_complexes, f_vector, is_chordal, join,
+                     link_facets_by_maximal, maximal_by_pairs, solid_simplex,
+                     union, void_complex)
 
 
 def hollow_triangle():

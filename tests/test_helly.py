@@ -7,7 +7,7 @@ import pytest
 from leraytop import (Box, BoxFamily, FrFamily, SimplicialComplex,
                       UnionFamily, check_amenta, check_hl,
                       fiber_bound, helly_number, helly_number_direct,
-                      leray_number, make_box, make_fr_family,
+                      make_box, make_fr_family,
                       make_partitioned, nerve, pieces_projection, project,
                       random_fr_family)
 from leraytop import helly as helly_mod
@@ -19,8 +19,8 @@ from leraytop.rng import CounterRng
 
 from oracles import (all_simplices_by_one_set, atom_empty_by_sets, atom_family,
                      choice_boxes_by_product, f_vector, interval_family,
-                     make_fr_family_by_product, minimal_empty_by_scan,
-                     nerve_by_oracle)
+                     leray_number, make_fr_family_by_product,
+                     minimal_empty_by_scan, nerve_by_oracle)
 
 
 def triangle_sides():

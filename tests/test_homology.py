@@ -1,18 +1,19 @@
 import pytest
 
-from leraytop import (GuardExceeded, boundary_complex, boundary_matrices,
-                      empty_complex, euler_characteristic, join, make_complex,
-                      reduced_betti, solid_simplex, unreduced_betti,
-                      void_complex)
+from leraytop import (GuardExceeded, euler_characteristic, make_complex,
+                      reduced_betti, unreduced_betti)
 from leraytop import homology, link
-from leraytop.homology import _hollow_simplex, rank_of_rows, top_nonzero_degree
+from leraytop.core import DEFAULT_SIMPLEX_GUARD
+from leraytop.homology import (_boundary_rows, _chain_bases, _hollow_simplex,
+                               rank_of_rows, top_nonzero_degree)
 from leraytop.multiproj import extremal_example, random_complex
 from leraytop.rng import CounterRng
 
-from oracles import (cross_polytope_boundary, enumerate_complexes,
-                     hollow_simplex_by_subsets, relabel, rp2_6,
-                     rp2_plus_two_points, rp2_suspension, smith_rank,
-                     snf_reduced_betti)
+from oracles import (boundary_complex, cross_polytope_boundary, empty_complex,
+                     enumerate_complexes, hollow_simplex_by_subsets, join,
+                     relabel, rp2_6, rp2_plus_two_points, rp2_suspension,
+                     smith_rank, snf_reduced_betti, solid_simplex,
+                     void_complex)
 
 
 def torus_7():
@@ -26,26 +27,35 @@ def _dense(rows, ncols):
     return [[row.get(c, 0) for c in range(ncols)] for row in rows]
 
 
+def _boundaries(X):
+    """The chain bases of X and its boundary out of each degree q >= 0."""
+    bases, index = _chain_bases(X, DEFAULT_SIMPLEX_GUARD)
+    return bases, {q: _boundary_rows(bases, index, q)
+                   for q in bases if q >= 0}
+
+
 def test_boundary_matrix_examples():
-    cb = boundary_matrices(make_complex([[0, 1]]))
-    # the degree-1 boundary has entries -1, +1 in its single column
-    col = sorted(row.get(0, 0) for row in cb.matrices[1])
-    assert col == [-1, 1]
-    cb = boundary_matrices(make_complex([[0, 1], [1, 2], [0, 2]]))
-    assert rank_of_rows(cb.matrices[1]) == 2
-    cb = boundary_matrices(solid_simplex([0, 1, 2]))
-    assert rank_of_rows(cb.matrices[2]) == 1
+    bases, matrices = _boundaries(make_complex([[0, 1]]))
+    # the degree-1 boundary of the edge (0, 1) is (1) - (0); the degree-0
+    # boundary is the all-ones row of the empty simplex
+    assert bases[0] == ((0,), (1,))
+    assert matrices[1] == [{0: -1}, {0: 1}]
+    assert matrices[0] == [{0: 1, 1: 1}]
+    _, matrices = _boundaries(make_complex([[0, 1], [1, 2], [0, 2]]))
+    assert rank_of_rows(matrices[1]) == 2
+    _, matrices = _boundaries(solid_simplex([0, 1, 2]))
+    assert rank_of_rows(matrices[2]) == 1
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_boundary_squares_to_zero(seed):
     X = random_complex(7, 3, 0.5, seed)
-    cb = boundary_matrices(X)
-    for q in sorted(cb.matrices):
-        if q + 1 not in cb.matrices:
+    _, matrices = _boundaries(X)
+    for q in sorted(matrices):
+        if q + 1 not in matrices:
             continue
-        upper = cb.matrices[q + 1]
-        lower = cb.matrices[q]
+        upper = matrices[q + 1]
+        lower = matrices[q]
         # (lower @ upper) must vanish entrywise
         for i, lrow in enumerate(lower):
             prod = {}
@@ -138,11 +148,11 @@ def test_rank_matches_smith_random_sparse(seed):
 
 def test_rank_on_torsion_rp2():
     X = rp2_6()
-    cb = boundary_matrices(X)
-    for q, rows in cb.matrices.items():
-        dense = _dense(rows, cb.dim_chain(q))
+    bases, matrices = _boundaries(X)
+    for q, rows in matrices.items():
+        dense = _dense(rows, len(bases[q]))
         assert rank_of_rows(rows) == smith_rank(dense)
-    assert rank_of_rows(cb.matrices[2]) == 10
+    assert rank_of_rows(matrices[2]) == 10
     assert reduced_betti(X).reduced == snf_reduced_betti(X) == (0, 0, 0)
 
 

@@ -20,7 +20,7 @@ from leraytop.multiproj import (PartitionedComplex, _section_table,
                                 random_partitioned_complex, extremal_example)
 from leraytop.rng import CounterRng
 
-from oracles import e1_page_by_building, f_vector
+from oracles import e1_page_by_building, f_vector, solid_simplex
 
 
 def two_points_one_part():
@@ -264,7 +264,6 @@ def test_check_euler():
 
 
 def test_check_proof_vanishing():
-    from leraytop import solid_simplex
     simplex_px = singleton_px(solid_simplex(range(3)))
     rep = check_proof_vanishing(simplex_px)
     # threshold 0 puts everything in the region; the q=0 entries are exempt

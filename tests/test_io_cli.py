@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from leraytop import cli, make_complex, solid_simplex
+from leraytop import cli, make_complex
 from leraytop.helly import make_box
 from leraytop.io_json import (FormatError, complex_from_json, complex_to_json,
                               family_from_json, family_to_json,
@@ -14,6 +14,7 @@ from leraytop.io_json import (FormatError, complex_from_json, complex_to_json,
 from leraytop.multiproj import extremal_example, make_partitioned
 
 from childenv import child_env
+from oracles import solid_simplex
 
 
 def test_complex_roundtrip_byte_identity():
@@ -482,6 +483,20 @@ def test_cli_check_lproj_needs_a_vertex(tmp_path, capsys, facets):
     assert captured.out == ""
     assert captured.err == (
         "error: the projection bound needs X to have a vertex\n")
+
+
+def test_cli_mps_refuses_a_large_k_on_singleton_parts(tmp_path, capsys):
+    # M_k has one vertex per vertex here, but each is labelled by a k-tuple:
+    # 4 * 40000 label entries
+    f = tmp_path / "x.json"
+    f.write_text(json.dumps({"vertices": ["a", "b", "c", "d"],
+                             "facets": [[0, 1], [2, 3]],
+                             "parts": [[0], [1], [2], [3]]}))
+    assert cli.run(["mps", "-k", "40000", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: multiple-point vertex bound exceeds guard 20000\n")
 
 
 def test_cli_check_file_may_follow_the_options(tmp_path, capsys):

@@ -4,19 +4,19 @@ import pytest
 
 from leraytop import homology, io_json
 from leraytop import leray as leray_mod
-from leraytop import (boundary_complex, induced, intersection,
-                      leray_by_definition, leray_by_links, leray_number,
-                      link, make_complex, nerve, pieces_projection, project,
-                      random_fr_family, solid_simplex)
+from leraytop import (induced, intersection, leray_by_definition,
+                      leray_by_links, link, make_complex, nerve,
+                      pieces_projection, project, random_fr_family)
 from leraytop.core import ComplexError
 from leraytop.leray import check_witness
 from leraytop.multiproj import (extremal_example, random_complex,
                                 random_partitioned_complex)
 from leraytop.rng import CounterRng
 
-from oracles import (clique_complex, cross_polytope_boundary,
+from oracles import (boundary_complex, clique_complex, cross_polytope_boundary,
                      enumerate_complexes, is_chordal, leray_links_unpruned,
-                     rp2_6, rp2_plus_two_points, rp2_suspension)
+                     leray_number, rp2_6, rp2_plus_two_points, rp2_suspension,
+                     solid_simplex)
 
 
 def test_definition_examples():

@@ -3,23 +3,24 @@ from itertools import product
 
 import pytest
 
-from leraytop import (ComplexError, GuardExceeded, boundary_complex,
-                      check_intersection_bound, check_mps_vanishing,
-                      check_projection_theorem, extremal_example, fiber_bound,
-                      generalized_mpc, induced, leray_number, make_complex,
-                      multiple_point_complex, project,
-                      random_partitioned_complex, reduced_betti, solid_simplex)
+from leraytop import (ComplexError, GuardExceeded, check_intersection_bound,
+                      check_mps_vanishing, check_projection_theorem,
+                      extremal_example, fiber_bound, generalized_mpc, induced,
+                      make_complex, multiple_point_complex, project,
+                      random_partitioned_complex, reduced_betti)
 from leraytop import multiproj
 from leraytop.cli import _hmps_instances, _lproj_instance
 from leraytop.core import (SimplicialComplex, _closed_facets, _maximal,
                            make_complex as _mk)
-from leraytop.multiproj import _section_table, make_partitioned, random_complex
+from leraytop.multiproj import (_check_vertex_bound, _section_table,
+                                make_partitioned, random_complex)
 from leraytop.icss import e1_page, sym_action
 from leraytop.rng import CounterRng
 
-from oracles import (contains, f_vector, fiber_bound_by_sections,
-                     is_isomorphism, mpc_by_sections, relabel,
-                     section_table_by_sorting)
+from oracles import (boundary_complex, contains, f_vector,
+                     fiber_bound_by_sections, is_isomorphism, leray_number,
+                     mpc_by_sections, relabel, section_table_by_sorting,
+                     solid_simplex)
 
 
 def two_points_one_part():
@@ -353,6 +354,38 @@ def test_mpc_guards(monkeypatch):
             multiple_point_complex(px, 3)
     with pytest.raises(GuardExceeded):
         multiple_point_complex(px, 3, guard=5)
+
+
+def test_vertex_bound_counts_label_entries(monkeypatch):
+    # M_k stores k * sum |part|^k label entries; the power stops at the
+    # guard's bit length without changing any decision
+    for guard in (1, 10, 1000):
+        monkeypatch.setattr(multiproj, "DEFAULT_MPC_VERTEX_GUARD", guard)
+        for sizes in ((1,), (1, 1, 1, 1), (2,), (1, 3), (2, 2, 2)):
+            parts = [tuple(range(n)) for n in sizes]
+            for k in range(1, 40):
+                refused = k * sum(n ** k for n in sizes) > guard
+                try:
+                    _check_vertex_bound(parts, k)
+                except GuardExceeded:
+                    assert refused, (guard, sizes, k)
+                else:
+                    assert not refused, (guard, sizes, k)
+
+
+def test_mpc_refuses_a_large_k_before_listing_its_factors(monkeypatch):
+    # the k-element factor list alone would hold k references
+    px = make_partitioned(make_complex([[0, 1], [2, 3]]),
+                          [(0,), (1,), (2,), (3,)])
+    built = []
+    monkeypatch.setattr(multiproj, "generalized_mpc",
+                        lambda pxs, guard: built.append(len(pxs)))
+    with pytest.raises(GuardExceeded,
+                       match="^multiple-point vertex bound exceeds guard"):
+        multiple_point_complex(px, 40000)
+    assert built == []
+    multiple_point_complex(px, 2)
+    assert built == [2]
 
 
 def test_mpc_facets_match_maximal(monkeypatch):
