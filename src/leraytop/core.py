@@ -241,27 +241,31 @@ def _meet(facets, s):
     return common
 
 
-def _strong_core(X, facets=None):
-    """X with dominated vertices deleted until none is left; ``facets``
-    are X's facet bitmasks, when the caller has them.
+def _vertices(mask) -> tuple:
+    """The simplex of a bitmask, the inverse of ``_bits``."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _strong_core(facets):
+    """The strong-collapse core of the complex whose facet bitmasks are
+    ``facets``, as facet bitmasks: dominated vertices deleted until none
+    is left.  Returns ``facets`` itself when no vertex is dominated.
 
     A vertex v is dominated when some w != v lies in every facet that
     contains v, i.e. when lk(v) is a cone (``_meet`` of v's bit is more
     than the bit).  Deleting v is a strong collapse and keeps the homotopy
     type (Barmak-Minian, "Strong homotopy types, nerves and collapses",
     Discrete Comput. Geom. 2012), so the reduced homology too.  The core
-    is a subcomplex, so it has at most as many simplices as X.  After
-    deleting v the facets without v stay, and each f - v is a facet
+    is a subcomplex, so it has at most as many simplices as the complex.
+    After deleting v the facets without v stay, and each f - v is a facet
     unless one of those contains it (the f - v are pairwise incomparable).
-    Returns X itself when no vertex is dominated.
+    The loop never leaves bitmasks, so a caller builds a tuple complex
+    (``_vertices`` per facet) only for a core it needs one for.
     """
-    if facets is None:
-        facets = [_bits(f) for f in X.facets]
     used = 0
     for f in facets:
         used |= f
     vertices = [v for v in range(used.bit_length()) if used >> v & 1]
-    n = len(vertices)
     while True:
         kept = []
         for v in vertices:
@@ -273,13 +277,8 @@ def _strong_core(X, facets=None):
             facets = rest + [g for g in (f ^ bit for f in facets if f & bit)
                              if not any(g & h == g for h in rest)]
         if len(kept) == len(vertices):
-            break
+            return facets
         vertices = kept
-    if len(vertices) == n:
-        return X
-    return SimplicialComplex(
-        X.vertex_count, [tuple(v for v in vertices if f >> v & 1)
-                         for f in facets], labels=X.labels)
 
 
 def _check_same_table(X1, X2):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .core import SimplicialComplex, _closed_facets
+from .core import SimplicialComplex
 from .leray import leray_by_links
 from .multiproj import fiber_bound, make_partitioned, project
 from .rng import CounterRng
@@ -89,32 +89,38 @@ def _scaled(dimension, boxes):
 
 def _meet_walk(boxes, owner):
     """Yield, size by size, every set of scaled boxes (``_scaled``) of
-    distinct owners with a common point, as index tuples in lexicographic
-    order.  ``owner[i]`` is the member that box ``i`` belongs to, and the
-    boxes are grouped by owner.
+    distinct owners with a common point, each as a pair (index tuple,
+    bitmask of the boxes that meet all of the set), the tuples in
+    lexicographic order.  ``owner[i]`` is the member that box ``i``
+    belongs to, and the boxes are grouped by owner.
 
     By Helly number 2 the sets are the cliques of the meet graph.  One pass
-    over the pairs gives box ``i`` the bitmask ``later[i]`` of the later
-    boxes of another owner that meet it, and a clique is extended by each
-    bit of the AND of its members' masks.  Only the current and the next
-    size are held, and the next is built only when the caller asks for it.
+    over the pairs gives box ``i`` the bitmask ``nb[i]`` of the boxes of
+    another owner that meet it, earlier and later.  A clique carries the
+    AND of its members' masks: its later bits are the boxes that extend it
+    in lexicographic order, and the clique is maximal exactly when the AND
+    is 0.  Only the current and the next size are held, and the next is
+    built only when the caller asks for it.
     """
-    later = [0] * len(boxes)
+    nb = [0] * len(boxes)
     for i, j in combinations(range(len(boxes)), 2):
         a, b = boxes[i], boxes[j]
         # closed intervals meet iff each starts before the other ends
         if owner[i] != owner[j] and all(a[k] <= b[k + 1] and b[k] <= a[k + 1]
                                         for k in range(0, len(a), 2)):
-            later[i] |= 1 << j
-    level = [((i,), mask) for i, mask in enumerate(later)]
+            nb[i] |= 1 << j
+            nb[j] |= 1 << i
+    level = [((i,), mask) for i, mask in enumerate(nb)]
     while level:
-        yield [sub for sub, _ in level]
+        yield level
         nxt = []
         for sub, common in level:
-            while common:
-                j = (common & -common).bit_length() - 1
-                nxt.append((sub + (j,), common & later[j]))
-                common &= common - 1
+            top = sub[-1] + 1
+            later = common >> top << top
+            while later:
+                j = (later & -later).bit_length() - 1
+                nxt.append((sub + (j,), common & nb[j]))
+                later &= later - 1
         level = nxt
 
 
@@ -122,30 +128,65 @@ class _WalkFamily:
     """A family whose members are unions of boxes, ``_member_boxes()``
     giving one list per member in ``names`` order.  On first use one
     ``_meet_walk`` over all the boxes, each owned by its member, fills the
-    family's table (``_walk``).  ``_faces`` maps each nonempty subfamily, a
-    sorted index tuple over ``names``, to the box sets over it; the boxes
-    are grouped by owner, so its keys are the simplices of the nerve in
-    ``all_simplices`` order.  ``_piece_faces`` lists the box sets by size
-    and then lexicographically, and ``_nerve`` keeps the nerve once
-    ``nerve`` has built it.
+    family's table (``_walk``):
+
+    * ``_faces`` maps each nonempty subfamily, a sorted index tuple over
+      ``names``, to the box sets over it; the boxes are grouped by owner,
+      so its keys are the simplices of the nerve in ``all_simplices``
+      order.  ``_piece_faces`` lists the box sets by size and then
+      lexicographically.
+    * ``_reach`` maps each key K, and the empty subfamily, to the bitmask
+      N(K) of the members j with K + j a face: the owners of the boxes
+      that meet every box of some box set over K.  The walk never pairs
+      two boxes of one owner, so N(K) holds no member of K.
+    * ``_piece_facets`` are the maximal box sets (their AND is 0), the
+      facets of the pieces nerve when the boxes of a member are disjoint,
+      and ``_nerve_facets`` the keys K with N(K) = 0, the facets of the
+      nerve: K + j is a face exactly when some box set over K extends by
+      a box of j.
+
+    ``_nerve`` keeps the nerve once ``nerve`` has built it.
     """
-    _faces = _piece_faces = _nerve = None
+    _faces = _piece_faces = _reach = _piece_facets = _nerve_facets = None
+    _nerve = None
 
     def _walk(self):
         members = self._member_boxes()
         owner = [m for m, boxes in enumerate(members) for _ in boxes]
         boxes = _scaled(self.dimension, [b for bs in members for b in bs])
-        table, subs = {}, []
+        table, subs, facets, around = {}, [], [], {}
         for level in _meet_walk(boxes, owner):
             keys = {}
-            for sub in level:
-                keys.setdefault(tuple(map(owner.__getitem__, sub)),
-                                []).append(sub)
+            for sub, common in level:
+                key = tuple(map(owner.__getitem__, sub))
+                keys.setdefault(key, []).append(sub)
+                subs.append(sub)
+                if common:
+                    around[key] = around.get(key, 0) | common
+                else:
+                    facets.append(sub)
             self._check_size(keys)
             table.update(keys)
-            subs += level
-        object.__setattr__(self, "_faces", table)
-        object.__setattr__(self, "_piece_faces", subs)
+        # a member's boxes are one run of bits, so the first box of an
+        # owner found in a mask clears all of its boxes at once
+        clear, start = [], 0
+        for bs in members:
+            clear += [~(((1 << len(bs)) - 1) << start)] * len(bs)
+            start += len(bs)
+        reach = dict.fromkeys(table, 0)
+        reach[()] = sum(1 << m for m, bs in enumerate(members) if bs)
+        for key, mask in around.items():
+            out = 0
+            while mask:
+                i = (mask & -mask).bit_length() - 1
+                out |= 1 << owner[i]
+                mask &= clear[i]
+            reach[key] = out
+        found = dict(_faces=table, _piece_faces=subs, _reach=reach,
+                     _piece_facets=facets,
+                     _nerve_facets=[key for key in table if not reach[key]])
+        for name, value in found.items():
+            object.__setattr__(self, name, value)
 
     def _check_size(self, keys):
         """Raise if one size of the walk breaks the family's rules; a box
@@ -190,14 +231,12 @@ class BoxFamily(_WalkFamily):
 def nerve(family) -> SimplicialComplex:
     """The nerve: one vertex per member, a simplex per subfamily with
     nonempty intersection.  Vertex labels carry the member names.  It is
-    built on first use and kept on the family."""
+    built on first use, from the facets the walk found, and kept on the
+    family."""
     if family._nerve is None:
-        faces = family._nonempty()
-        # every face of an intersecting subfamily intersects, so the set is
-        # closed under nonempty faces
         object.__setattr__(family, "_nerve", SimplicialComplex(
-            len(family.names), _closed_facets(faces), labels=family.names)
-            if faces else SimplicialComplex(0, ()))
+            len(family.names), family._nerve_facets, labels=family.names)
+            if family._nonempty() else SimplicialComplex(0, ()))
     return family._nerve
 
 
@@ -221,19 +260,29 @@ def _check_cap(names, cap):
 def minimal_empty_subfamilies(family, cap=MEMBER_CAP):
     """Inclusion-minimal subfamilies with empty intersection (the minimal
     non-faces of the nerve), as name tuples by size and then
-    lexicographically.  Each is a face (the empty one included) extended by
-    one larger index, whose other codimension-1 faces are faces too."""
+    lexicographically.
+
+    Each is a face s (the empty one included) extended by one larger index
+    j, whose other codimension-1 faces s - s_i + j are faces too.  In the
+    walk's masks (``_WalkFamily``) these j are the members above max(s)
+    outside N(s) and inside N(s - s_i) for every i: one AND per
+    codimension-1 face of s gives them all."""
     names = family.names
     _check_cap(names, cap)
-    # the empty subfamily counts as intersecting even when the nerve is void
-    faces = {(), *family._nonempty()}
+    family._nonempty()
+    reach = family._reach
+    everyone = (1 << len(names)) - 1
     out = []
-    for s in faces:
-        for j in range(s[-1] + 1 if s else 0, len(names)):
-            cand = s + (j,)
-            if cand not in faces and all(cand[:i] + cand[i + 1:] in faces
-                                         for i in range(len(s))):
-                out.append(cand)
+    for s, mask in reach.items():
+        top = s[-1] + 1 if s else 0
+        new = (everyone & ~mask) >> top << top
+        for i in range(len(s)):
+            if not new:
+                break
+            new &= reach[s[:i] + s[i + 1:]]
+        while new:
+            out.append(s + ((new & -new).bit_length() - 1,))
+            new &= new - 1
     out.sort(key=lambda c: (len(c), c))
     return [tuple(names[i] for i in c) for c in out]
 
@@ -391,8 +440,7 @@ def pieces_projection(fr: FrFamily):
     for _, pieces in fr.groups:
         parts.append(range(len(names), len(names) + len(pieces)))
         names += pieces
-    X = SimplicialComplex(len(names), _closed_facets(fr._piece_faces),
-                          labels=names)
+    X = SimplicialComplex(len(names), fr._piece_facets, labels=names)
     px = make_partitioned(X, parts)
     X._simplex_cache = [()] + fr._piece_faces
     object.__setattr__(px, "_sections", sections)

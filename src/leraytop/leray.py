@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (DEFAULT_SIMPLEX_GUARD, ComplexError, SimplicialComplex,
-                   _bits, _meet, _strong_core, induced, link)
+                   _bits, _meet, _strong_core, _vertices, induced, link)
 from .homology import reduced_betti, top_nonzero_degree
 
 DEFAULT_DEFINITION_CAP = 18
@@ -91,10 +91,14 @@ def leray_by_links(X: SimplicialComplex,
       cone link is built, and X itself (sigma = ()) is tested the same way.
     * Any other link, X included, is replaced by its strong-collapse core
       (``core._strong_core``), which has the same homotopy type
-      (Barmak-Minian 2012).  It is skipped when its dimension is <= best
-      or it has one facet: a one-facet core of a non-cone is a point or
-      the empty complex.
+      (Barmak-Minian 2012).  The link's facet bitmasks are f ^ sigma over
+      X's facets f that contain sigma, and the core is taken on them.  It
+      is skipped when its dimension is <= best or it has one facet: a
+      one-facet core of a non-cone is a point or the empty complex.
 
+    Only a core that is not skipped becomes a tuple complex, for homology.
+    For sigma = () with no dominated vertex that complex is X itself, so
+    X's simplex list, once enumerated, serves the scan and the homology.
     A core on more than eight vertices is asked only for its largest
     nonzero degree above best (``homology.top_nonzero_degree``): a hollow
     simplex answers its top degree, and otherwise exact ranks decide the
@@ -116,10 +120,12 @@ def leray_by_links(X: SimplicialComplex,
             s = _bits(sigma)
             if _meet(facets, s) != s:
                 continue
-            # X's own facet bitmasks are at hand; a link's are built anew
-            lk = _strong_core(link(X, sigma), None if sigma else facets)
-            if lk.dim <= best or len(lk.facets) == 1:
+            core = _strong_core([f ^ s for f in facets if f & s == s]
+                                if s else facets)
+            if len(core) == 1 or max(map(int.bit_count, core)) - 1 <= best:
                 continue
+            lk = X if core is facets else SimplicialComplex(
+                X.vertex_count, map(_vertices, core), labels=X.labels)
             if len(lk.used_vertices()) <= _EXACT_LINK_VERTICES:
                 top = reduced_betti(lk, guard=guard).max_nonzero_degree()
                 if top is not None and top <= best:

@@ -557,3 +557,22 @@ def minimal_empty_by_scan(names, nv):
                    for i in range(size)):
                 out.append(tuple(names[i] for i in cand))
     return out
+
+
+def minimal_empty_by_slicing(family):
+    """The minimal non-faces of a walked family's nerve as name tuples, by
+    size and then lexicographically: each face s of the walk's table (the
+    empty one included) extended by each larger index j, kept when s + j is
+    no face and each s + j less one s_i is, by tuple slicing."""
+    names = family.names
+    # the empty subfamily counts as intersecting even when the nerve is void
+    faces = {(), *family._nonempty()}
+    out = []
+    for s in faces:
+        for j in range(s[-1] + 1 if s else 0, len(names)):
+            cand = s + (j,)
+            if cand not in faces and all(cand[:i] + cand[i + 1:] in faces
+                                         for i in range(len(s))):
+                out.append(cand)
+    out.sort(key=lambda c: (len(c), c))
+    return [tuple(names[i] for i in c) for c in out]

@@ -4,8 +4,8 @@ import pytest
 
 from leraytop import (ComplexError, GuardExceeded, induced, intersection,
                       link, make_complex, reduced_betti, subdivision)
-from leraytop.core import (SimplicialComplex, _closed_facets, _maximal,
-                           _strong_core, as_simplex)
+from leraytop.core import (SimplicialComplex, _bits, _closed_facets,
+                           _maximal, _strong_core, _vertices, as_simplex)
 from leraytop.multiproj import random_complex
 from leraytop.rng import CounterRng
 
@@ -153,17 +153,29 @@ def test_link_of_cone_point():
         tuple(v + 1 for v in f) for f in X.facets)
 
 
+def _core_of(X):
+    """The strong core of X as a complex, or X itself when ``_strong_core``
+    hands back X's facet bitmasks unchanged."""
+    facets = [_bits(f) for f in X.facets]
+    core = _strong_core(facets)
+    if core is facets:
+        return X
+    return SimplicialComplex(X.vertex_count, map(_vertices, core))
+
+
 def test_strong_core_examples():
     ht = hollow_triangle()
     # no vertex of a cycle is dominated, so the complex comes back as is
-    assert _strong_core(ht) is ht
-    assert _strong_core(solid_simplex(range(4))).facets == {(3,)}
-    assert _strong_core(make_complex([[0, 1], [0, 2]])).facets == {(0,)}
+    assert _core_of(ht) is ht
+    assert _core_of(solid_simplex(range(4))).facets == {(3,)}
+    assert _core_of(make_complex([[0, 1], [0, 2]])).facets == {(0,)}
     whisker = make_complex([[0, 1], [1, 2], [0, 2], [2, 3]])
-    assert _strong_core(whisker).facets == ht.facets
-    assert _strong_core(make_complex([[0], [1]])).facets == {(0,), (1,)}
+    assert _core_of(whisker).facets == ht.facets
+    assert _core_of(make_complex([[0], [1]])).facets == {(0,), (1,)}
     for X in (empty_complex(2), void_complex(2)):
-        assert _strong_core(X) is X
+        assert _core_of(X) is X
+    assert [_vertices(_bits(s)) for s in ((), (0,), (1, 4, 6))] == \
+        [(), (0,), (1, 4, 6)]
 
 
 def test_strong_core_on_every_small_complex():
@@ -171,7 +183,7 @@ def test_strong_core_on_every_small_complex():
     # vertex of it is dominated, and it has the reduced homology of X
     for facets in enumerate_complexes(5):
         X = make_complex(facets, allow_void=True)
-        core = _strong_core(X)
+        core = _core_of(X)
         kept = core.used_vertices()
         assert core.facets == _maximal(
             tuple(v for v in f if v in kept) for f in X.facets), facets

@@ -36,13 +36,14 @@ def _count(monkeypatch, owner, fn, counts, key, size=None):
 
 
 def test_lproj_pass_does_its_known_work(monkeypatch):
-    # per instance: 2 links scanned, 4 ranks in the image's reduced_betti,
+    # per instance: 2 link cores taken (of lk(()) = X and of the image),
+    # 4 ranks in the image's reduced_betti,
     # X's simplex list read by the Leray scan, the hollow-simplex
     # certificate and the section table, and the image's by its Leray scan
     # and reduced_betti.  A faster pass must come from doing each job
     # once, not from skipping any of this.
-    counts = dict(link=0, rank=0, betti=0, simplices=0)
-    _count(monkeypatch, None, core.link, counts, "link")
+    counts = dict(core=0, rank=0, betti=0, simplices=0)
+    _count(monkeypatch, None, core._strong_core, counts, "core")
     _count(monkeypatch, None, homology.rank_of_rows, counts, "rank")
     _count(monkeypatch, None, homology.reduced_betti, counts, "betti")
     _count(monkeypatch, core.SimplicialComplex,
@@ -53,5 +54,5 @@ def test_lproj_pass_does_its_known_work(monkeypatch):
         for text in texts:
             wl.run(text)
     assert len(texts) == 20
-    assert (counts["link"], counts["rank"], counts["betti"]) == (40, 80, 20)
+    assert (counts["core"], counts["rank"], counts["betti"]) == (40, 80, 20)
     assert counts["simplices"] <= 40_069, counts

@@ -11,8 +11,8 @@ from leraytop import (Box, BoxFamily, FrFamily, SimplicialComplex,
                       make_partitioned, nerve, pieces_projection, project,
                       random_fr_family)
 from leraytop import helly as helly_mod
-from leraytop import multiproj
-from leraytop.core import _closed_facets, _maximal
+from leraytop import core, multiproj
+from leraytop.core import _maximal
 from leraytop.helly import (FamilyError, FrValidationError, box_meet,
                             boxes_disjoint, minimal_empty_subfamilies)
 from leraytop.rng import CounterRng
@@ -20,7 +20,27 @@ from leraytop.rng import CounterRng
 from oracles import (all_simplices_by_one_set, atom_empty_by_sets, atom_family,
                      choice_boxes_by_product, f_vector, interval_family,
                      leray_number, make_fr_family_by_product,
-                     minimal_empty_by_scan, nerve_by_oracle)
+                     minimal_empty_by_scan, minimal_empty_by_slicing,
+                     nerve_by_oracle)
+
+
+@pytest.fixture(autouse=True)
+def walked(monkeypatch):
+    """The families that a test of this module walks, each checked after
+    its walk: the facet lists it recorded are the maximal elements of its
+    table's keys and of its box sets."""
+    out = []
+    walk = helly_mod._WalkFamily._walk
+
+    def checked(family):
+        walk(family)
+        assert sorted(family._nerve_facets) == sorted(_maximal(family._faces))
+        assert sorted(family._piece_facets) == \
+            sorted(_maximal(family._piece_faces))
+        out.append(family)
+
+    monkeypatch.setattr(helly_mod._WalkFamily, "_walk", checked)
+    return out
 
 
 def triangle_sides():
@@ -264,23 +284,17 @@ def test_random_fr_family_deterministic():
                for p in a.base.members)
 
 
-def test_nerve_facets_match_maximal(monkeypatch):
-    # the level-wise simplex set of every test family's nerve
-    seen = []
-
-    def checked(simplices):
-        simplices = list(simplices)
-        out = _closed_facets(simplices)
-        assert out == _maximal(simplices)
-        seen.append(out)
-        return out
-
-    monkeypatch.setattr(helly_mod, "_closed_facets", checked)
+def test_nerve_facets_match_maximal(walked):
+    # ``walked`` checks the walk's facet lists on every family this module
+    # walks; here on grouped families in two dimensions and on a box and a
+    # union family, one of whose members has no boxes
     for seed in range(6):
         nerve(random_fr_family(1, 4, 2, seed))
     for seed in range(4):
         nerve(random_fr_family(2, 4, 2, seed + 50))
-    assert len(seen) == 10
+    for family, _ in _box_and_union_draw(0)[1]:
+        nerve(family)
+    assert len(walked) == 12
 
 
 # -- the subfamily-meet table against the rational-box reference ----------
@@ -495,16 +509,19 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 def test_check_amenta_builds_each_complex_once(monkeypatch):
-    calls = {}
-    for name in ("_closed_facets", "leray_by_links"):
-        _count_calls(monkeypatch, helly_mod, name, calls)
+    calls = {"_closed_facets": 0}
+    _count_calls(monkeypatch, helly_mod, "leray_by_links", calls)
+    # every library module that binds _closed_facets
+    for module in (core, multiproj):
+        _count_calls(monkeypatch, module, "_closed_facets", calls)
     fr = random_fr_family(1, 4, 2, 3)
     rep = check_amenta(fr)
     assert rep["projection"]["image_matches_nerve"]
     # two builds: the nerve of the groups, kept on the family for the Helly
-    # number and the image check, and X, from the walk's table.  The image
-    # is the nerve, so only the nerve and X need a Leray scan
-    assert calls == {"_closed_facets": 2, "leray_by_links": 2}
+    # number and the image check, and X.  Both take the facet lists the walk
+    # recorded, so no _closed_facets pass is made.  The image is the nerve,
+    # so only the nerve and X need a Leray scan
+    assert calls == {"_closed_facets": 0, "leray_by_links": 2}
     calls.clear()
     assert helly_number(fr).helly_number == rep["helly"]
     assert calls == {"leray_by_links": 1}
@@ -534,6 +551,7 @@ def _assert_matches_references(fam, is_empty):
     assert (nv.vertex_count, nv.facets) == (ref.vertex_count, ref.facets)
     minimal = minimal_empty_by_scan(names, ref)
     assert minimal_empty_subfamilies(fam) == minimal
+    assert minimal_empty_by_slicing(fam) == minimal
     witness = max(minimal, key=len) if minimal else ()
     assert helly_number(fam).witness == witness
     return minimal
@@ -663,6 +681,31 @@ def test_bench_pieces_complexes_match_references(monkeypatch):
     assert len(families) == 35
     for fr in families:
         _assert_pieces_complex_matches_references(fr)
+
+
+def test_minimal_empty_matches_slicing_oracle(monkeypatch):
+    # the benchmark's families, and small ones at the edges: a member with
+    # no boxes (its singleton is a non-face), a void nerve, one member
+    families, _ = _bench_families(monkeypatch)
+    one = make_box([(0, 1)])
+    edges = [
+        (UnionFamily(1, {"a": [one], "b": [], "c": [make_box([(1, 2)])]}),
+         [("b",)]),
+        (UnionFamily(2, {"a": [], "b": []}), [("a",), ("b",)]),
+        (BoxFamily(1, {"a": one}), []),
+        (UnionFamily(1, {"a": []}), [("a",)]),
+        (interval_family([("a", 0, 1), ("b", 2, 3), ("c", 1, 2)]),
+         [("a", "b")]),
+    ]
+    for fam in families:
+        assert minimal_empty_subfamilies(fam) == minimal_empty_by_slicing(fam)
+    for fam, minimal in edges:
+        assert minimal_empty_subfamilies(fam) == minimal
+        assert minimal_empty_by_slicing(fam) == minimal
+    # some minimal non-face has size >= 3, so the codimension-1 AND runs
+    # over two or more faces
+    assert max(len(c) for fam in families
+               for c in minimal_empty_subfamilies(fam)) >= 3
 
 
 def test_helly_amenta_walks_once_per_family(monkeypatch):

@@ -7,7 +7,7 @@ from leraytop import leray as leray_mod
 from leraytop import (induced, intersection, leray_by_definition,
                       leray_by_links, link, make_complex, nerve,
                       pieces_projection, project, random_fr_family)
-from leraytop.core import ComplexError
+from leraytop.core import ComplexError, _vertices
 from leraytop.leray import check_witness
 from leraytop.multiproj import (extremal_example, random_complex,
                                 random_partitioned_complex)
@@ -182,16 +182,20 @@ def test_links_match_unpruned_scan_partitioned(seed):
                          + [make_complex([[0], [1], [2]])])
 def test_links_scan_stops_after_one_link_at_dim_plus_one(X, monkeypatch):
     # L(X) = dim X + 1: the link of the empty simplex (X itself) attains the
-    # best possible value, so no other link is built
-    calls = []
-
-    def counting_link(X, A):
-        calls.append(A)
-        return link(X, A)
-
-    monkeypatch.setattr(leray_mod, "link", counting_link)
+    # best possible value, so no other link's core is taken
+    cores = []
+    monkeypatch.setattr(leray_mod, "_strong_core",
+                        _counted(leray_mod._strong_core, cores))
     assert leray_by_links(X).value == X.dim + 1
-    assert calls == [()]
+    assert [sorted(map(_vertices, c)) for c in cores] == [sorted(X.facets)]
+
+
+def _counted(fn, log):
+    """``fn``, logging its first argument on each call."""
+    def inner(*args, **kwargs):
+        log.append(args[0])
+        return fn(*args, **kwargs)
+    return inner
 
 
 def test_lproj_scan_certifies_without_exact_ranks(monkeypatch):
@@ -203,14 +207,8 @@ def test_lproj_scan_certifies_without_exact_ranks(monkeypatch):
         str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
     texts = workloads.Lproj().generate(0)
-    ranks, bettis, links = [], [], []
+    ranks, bettis, cores = [], [], []
     in_betti = []
-
-    def counted(fn, log):
-        def inner(*args, **kwargs):
-            log.append(args[0])
-            return fn(*args, **kwargs)
-        return inner
 
     def exact(X, guard):
         bettis.append(X)
@@ -229,14 +227,16 @@ def test_lproj_scan_certifies_without_exact_ranks(monkeypatch):
     reduced_betti = leray_mod.reduced_betti
     monkeypatch.setattr(homology, "rank_of_rows", rank)
     monkeypatch.setattr(leray_mod, "reduced_betti", exact)
-    monkeypatch.setattr(leray_mod, "link", counted(link, links))
+    monkeypatch.setattr(leray_mod, "_strong_core",
+                        _counted(leray_mod._strong_core, cores))
     images = []
     for text in texts:
         px = io_json.partitioned_from_json(text)
         images.append(project(px))
         for X in (px.complex, images[-1]):
             leray_by_links(X)
-    assert len(links) == 40
+    # one core per scan, of lk(()) = the complex itself
+    assert len(cores) == 40
     assert len(ranks) <= 2
     assert bettis == images
 
@@ -267,28 +267,28 @@ def test_helly_amenta_scan_builds_few_links(monkeypatch):
     # the 70 complexes the helly-amenta benchmark's default seed scans (a
     # nerve and a pieces complex per instance): most links are cones, told
     # by the AND of the facet bitmasks without being built, and the rest
-    # are asked about their strong-collapse cores
+    # are reduced to their strong-collapse cores on bitmasks.  Only a core
+    # that can beat the running best becomes a tuple complex, for homology
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
     from leraytop import helly
     wl = workloads.HellyAmenta()
-    scans, links, ranks = [], [], []
-
-    def counted(fn, log):
-        def inner(*args, **kwargs):
-            log.append(args[0])
-            return fn(*args, **kwargs)
-        return inner
-
-    monkeypatch.setattr(helly, "leray_by_links", counted(leray_by_links, scans))
-    monkeypatch.setattr(leray_mod, "link", counted(link, links))
+    scans, links, cores, homologies, ranks = [], [], [], [], []
+    monkeypatch.setattr(helly, "leray_by_links",
+                        _counted(leray_by_links, scans))
+    monkeypatch.setattr(leray_mod, "link", _counted(link, links))
+    monkeypatch.setattr(leray_mod, "_strong_core",
+                        _counted(leray_mod._strong_core, cores))
+    for name in ("reduced_betti", "top_nonzero_degree"):
+        monkeypatch.setattr(leray_mod, name,
+                            _counted(getattr(leray_mod, name), homologies))
     monkeypatch.setattr(homology, "rank_of_rows",
-                        counted(homology.rank_of_rows, ranks))
+                        _counted(homology.rank_of_rows, ranks))
     for text in wl.generate(0):
         wl.run(text)
     assert len(scans) == 70
-    assert len(links) <= 706
+    assert (len(links), len(cores), len(homologies)) == (0, 706, 75)
     assert len(ranks) <= 119
 
 
