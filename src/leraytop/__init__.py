@@ -16,12 +16,12 @@ from .multiproj import (MultiPointComplex, PartitionedComplex,
                         fiber_bound, generalized_mpc, make_partitioned,
                         multiple_point_complex, project,
                         random_partitioned_complex)
-from .icss import (AltChainComplex, E1Page, alt_betti, alt_chain_complex,
+from .icss import (AltChainComplex, E1Page, alt_chain_complex,
                    check_alt_chain_iso, check_euler, check_proof_vanishing,
                    double_point_closure, e1_page, sym_action)
 from .helly import (Box, BoxFamily, FrFamily, HellyReport, UnionFamily,
                     check_amenta, check_hl, helly_number, helly_number_direct,
-                    make_box, make_fr_family, nerve, pieces_projection,
+                    make_fr_family, nerve, pieces_projection,
                     random_fr_family)
 
 __version__ = "0.1.0"

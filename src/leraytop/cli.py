@@ -15,7 +15,6 @@ import json
 import sys
 import time
 import traceback
-from fractions import Fraction
 
 from . import helly as helly_mod
 from . import icss as icss_mod
@@ -24,10 +23,10 @@ from .core import ComplexError, GuardExceeded
 from .homology import reduced_betti, unreduced_betti
 from .leray import (DEFAULT_DEFINITION_CAP, leray_by_definition,
                     leray_by_links)
-from .multiproj import (check_intersection_bound, check_mps_vanishing,
-                        check_projection_theorem, extremal_example,
-                        fiber_bound, multiple_point_complex, project,
-                        random_complex, random_partitioned_complex)
+from .multiproj import (DEFAULT_MPC_SIMPLEX_GUARD, check_intersection_bound,
+                        check_mps_vanishing, check_projection_theorem,
+                        extremal_example, fiber_bound, multiple_point_complex,
+                        project, random_complex, random_partitioned_complex)
 from .rng import CounterRng
 
 EXIT_OK = 0
@@ -38,14 +37,10 @@ EXIT_INTERNAL = 4
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return io_json._rational_str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
     return value
 
 
@@ -368,7 +363,8 @@ def build_parser():
         p.add_argument("file", nargs="?", default=None,
                        help="input JSON file ('-' or omitted: stdin)")
         if guard:
-            p.add_argument("--guard", type=_nonnegative_int, default=200000,
+            p.add_argument("--guard", type=_nonnegative_int,
+                           default=DEFAULT_MPC_SIMPLEX_GUARD,
                            help="simplex-count guard (default %(default)s)")
 
     def add_batch(p):

@@ -29,7 +29,6 @@ class FamilyError(ValueError):
     """Invalid set-family input."""
 
 
-_EMPTY_COLLECTION = "intersection of an empty collection is undefined"
 MEMBER_CAP = 20         # default cap on the members of a walked family
 
 
@@ -48,28 +47,11 @@ class Box:
         return len(self.intervals)
 
 
-def make_box(intervals) -> Box:
-    return Box(tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals))
-
-
-def box_meet(boxes):
-    """Intersection of boxes; None if empty."""
-    boxes = list(boxes)
-    if not boxes:
-        raise FamilyError(_EMPTY_COLLECTION)
-    d = boxes[0].dimension
-    out = []
-    for axis in range(d):
-        lo = max(b.intervals[axis][0] for b in boxes)
-        hi = min(b.intervals[axis][1] for b in boxes)
-        if lo > hi:
-            return None
-        out.append((lo, hi))
-    return Box(tuple(out))
-
-
 def boxes_disjoint(a: Box, b: Box) -> bool:
-    return box_meet([a, b]) is None
+    """True if the closed boxes miss each other: on some axis one ends
+    before the other starts."""
+    return any(hi < lo2 or hi2 < lo for (lo, hi), (lo2, hi2)
+               in zip(a.intervals, b.intervals))
 
 
 # -- the subfamily walk --------------------------------------------------
@@ -205,7 +187,8 @@ class _WalkFamily:
                 raise FamilyError("unknown member %r" % (name,))
             sub.add(members.index(name))
         if not sub:
-            raise FamilyError(_EMPTY_COLLECTION)
+            raise FamilyError(
+                "intersection of an empty collection is undefined")
         return tuple(sorted(sub)) not in self._nonempty()
 
 

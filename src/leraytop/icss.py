@@ -5,8 +5,10 @@ consistency checks.
 The orbit scan (``alt_chain_complex``) spans the alternating subcomplex of
 a built M_k, per degree, by one representative of each simplex orbit whose
 setwise stabilizer acts only by even vertex permutations relative to the
-permutation sign (the sign-isotypic survival condition); the projector
-itself is never evaluated numerically except in tests.
+permutation sign (the sign-isotypic survival condition).  The library keeps
+only these representatives, which ``check_alt_chain_iso`` compares; the
+boundary restricted to them, their homology and the numerical projector
+are test oracles.
 
 The E1 page builds no M_k.  A simplex of M_k over an image simplex I is a
 k-tuple of sections of X over I.  A tuple with a repeated section is fixed
@@ -87,13 +89,9 @@ def sym_action(M: MultiPointComplex, perm) -> SymAction:
 
 @dataclass
 class AltChainComplex:
-    """Basis (orbit representatives) and boundary matrices of the
-    alternating subspace of the chain complex of a multiple-point complex."""
+    """Basis of the alternating subspace of the chain complex of a
+    multiple-point complex: one representative per surviving orbit."""
     reps: dict            # degree -> list of simplices (lex-least reps)
-    matrices: dict        # degree -> sparse rows over reps[degree-1]
-
-    def dims(self):
-        return {q: len(v) for q, v in self.reps.items()}
 
     def dim(self, q):
         return len(self.reps.get(q, ()))
@@ -121,71 +119,28 @@ def _check_orbit_work(simplex_count, group_order):
 
 def alt_chain_complex(M: MultiPointComplex,
                       guard=DEFAULT_MPC_SIMPLEX_GUARD) -> AltChainComplex:
-    """Orbit-representative basis of the alternating chains and the
-    restriction of the boundary to it."""
+    """Orbit-representative basis of the alternating chains: in each
+    degree, the lex-least simplex of every orbit whose stabilizer acts with
+    sign +1.  Each degree of M has a key, with an empty list when every
+    orbit dies."""
     actions = _actions(M)
     simplices = M.complex.all_simplices(guard=guard)
     _check_orbit_work(len(simplices), len(actions))
-    by_deg = {}
-    for s in simplices:
-        by_deg.setdefault(len(s) - 1, []).append(s)
     reps = {}
-    # simplex -> (rep, coeff) for surviving orbits, None for killed ones
-    transfer = {}
-    for q in sorted(by_deg):
-        reps_q = []
-        for s in by_deg[q]:
-            if s in transfer:
-                continue
-            alive = True
-            orbit = {}
-            for gsign, act in actions:
-                t, eps = act.on_simplex(s)
-                if t == s and gsign * eps == -1:
-                    alive = False
-                if t not in orbit:
-                    orbit[t] = gsign * eps
-            if alive:
-                reps_q.append(s)
-                for t, c in orbit.items():
-                    transfer[t] = (s, c)
-            else:
-                for t in orbit:
-                    transfer[t] = None
-        reps[q] = reps_q
-    matrices = {}
-    for q in sorted(reps):
-        if q <= 0 or not reps[q]:
+    seen = set()            # the simplices of the orbits scanned so far
+    for s in simplices:
+        reps_q = reps.setdefault(len(s) - 1, [])
+        if s in seen:
             continue
-        row_index = {s: i for i, s in enumerate(reps[q - 1])}
-        rows = [dict() for _ in reps[q - 1]]
-        for j, s in enumerate(reps[q]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                hit = transfer.get(face)
-                if hit is None:
-                    continue
-                rep, c = hit
-                ri = row_index[rep]
-                w = rows[ri].get(j, 0) + (-1 if i % 2 else 1) * c
-                if w:
-                    rows[ri][j] = w
-                elif j in rows[ri]:
-                    del rows[ri][j]
-        matrices[q] = rows
-    return AltChainComplex(reps, matrices)
-
-
-def alt_betti(M: MultiPointComplex, guard=DEFAULT_MPC_SIMPLEX_GUARD):
-    """Dimensions of the homology of the alternating chain complex
-    (unreduced convention).  Empty tuple for a void complex."""
-    if M.complex.is_void():
-        return ()
-    acc = alt_chain_complex(M, guard=guard)
-    top = max(acc.reps) if acc.reps else -1
-    ranks = {q: rank_of_rows(m) for q, m in acc.matrices.items()}
-    return tuple(acc.dim(q) - ranks.get(q, 0) - ranks.get(q + 1, 0)
-                 for q in range(top + 1))
+        alive = True
+        for gsign, act in actions:
+            t, eps = act.on_simplex(s)
+            if t == s and gsign * eps == -1:
+                alive = False
+            seen.add(t)
+        if alive:
+            reps_q.append(s)
+    return AltChainComplex(reps)
 
 
 @dataclass(frozen=True)
@@ -196,27 +151,26 @@ class E1Page:
     table: dict           # (p, q) -> natural, for 0 <= p <= r-1
     extra_column_zero: bool
 
-    def entry(self, p, q):
-        return self.table.get((p, q), 0)
-
     def signed_sum(self):
         return sum((-1) ** (p + q) * n for (p, q), n in self.table.items())
 
 
 def _refuse_over_guard(px: PartitionedComplex, table, r, guard):
-    """Raise the GuardExceeded that building M_1..M_{r+1} and their
-    alternating chains would raise first, without building any of them.
+    """Raise the GuardExceeded that building M_1..M_{r+1} and scanning
+    their orbits would raise first, without building any of them.
 
     The size of each M_k comes from the section table of ``px``; each k is
     checked as ``generalized_mpc``, ``all_simplices`` (which counts the
     empty simplex) and ``alt_chain_complex`` would check it, in that order.
+    That is the order of the page built from M_1..M_{r+1} in the tests
+    (``oracles.e1_page_by_building``).
     """
     for k in range(1, r + 2):
         _check_vertex_bound(px.parts, k)
         size = _mpc_simplex_count([table] * k)
         _check_simplex_count(size, guard)
         if not size:
-            continue            # alt_betti stops at a void complex
+            continue            # a void M_k is neither enumerated nor scanned
         if size + 1 > guard:
             raise GuardExceeded(
                 "simplex enumeration exceeds guard %d" % guard)

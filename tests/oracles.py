@@ -3,19 +3,22 @@ simplex-set operations, exhaustive enumeration of small complexes, a few
 named complexes with torsion or without hollow simplices, the unpruned
 or pre-optimisation forms of the library's fast paths, and small builders
 and invariants that only the tests need: simplex boundaries, joins and
-unions, graph clique complexes and chordality among them.
+unions, graph clique complexes and chordality, box meets and the
+alternating homology of the orbit scan among them.
 
-Everything here is deliberately naive and shares no code path with the
-library's homology/rank implementation.
+Everything here is deliberately naive.  Only ``alt_betti`` takes its ranks
+with the library's ``rank_of_rows``; nothing else shares a code path with
+the library's homology/rank implementation.
 """
+from fractions import Fraction
 from itertools import combinations
 
-from leraytop import (BoxFamily, ComplexError, SimplicialComplex, UnionFamily,
-                      leray_by_links, make_box, make_complex, project)
+from leraytop import (Box, BoxFamily, ComplexError, SimplicialComplex,
+                      UnionFamily, leray_by_links, make_complex, project)
 from leraytop.core import _check_same_table, _closed_facets, as_simplex
-from leraytop.helly import (FamilyError, FrFamily, FrValidationError,
-                            box_meet, boxes_disjoint)
-from leraytop.icss import E1Page, alt_betti
+from leraytop.helly import FamilyError, FrFamily, FrValidationError
+from leraytop.homology import rank_of_rows
+from leraytop.icss import E1Page, _actions, _check_orbit_work
 from leraytop.multiproj import (DEFAULT_MPC_SIMPLEX_GUARD, MultiPointComplex,
                                 _check_simplex_count, _check_vertex_bound,
                                 fiber_bound, multiple_point_complex)
@@ -437,6 +440,82 @@ def fiber_bound_by_sections(px):
     return best, witness
 
 
+def alt_chain_boundaries(M: MultiPointComplex,
+                         guard=DEFAULT_MPC_SIMPLEX_GUARD):
+    """The full orbit scan of M: (reps, matrices), the orbit-representative
+    basis of the alternating chains per degree and the boundary restricted
+    to it, ``matrices[q]`` as sparse rows over ``reps[q - 1]``.  Each
+    scanned simplex is mapped to its orbit's representative with the sign
+    of the group element that takes one to the other, or to None when its
+    orbit dies; the guards are checked as ``icss.alt_chain_complex`` checks
+    them."""
+    actions = _actions(M)
+    simplices = M.complex.all_simplices(guard=guard)
+    _check_orbit_work(len(simplices), len(actions))
+    by_deg = {}
+    for s in simplices:
+        by_deg.setdefault(len(s) - 1, []).append(s)
+    reps = {}
+    # simplex -> (rep, coeff) for surviving orbits, None for killed ones
+    transfer = {}
+    for q in sorted(by_deg):
+        reps_q = []
+        for s in by_deg[q]:
+            if s in transfer:
+                continue
+            alive = True
+            orbit = {}
+            for gsign, act in actions:
+                t, eps = act.on_simplex(s)
+                if t == s and gsign * eps == -1:
+                    alive = False
+                if t not in orbit:
+                    orbit[t] = gsign * eps
+            if alive:
+                reps_q.append(s)
+                for t, c in orbit.items():
+                    transfer[t] = (s, c)
+            else:
+                for t in orbit:
+                    transfer[t] = None
+        reps[q] = reps_q
+    matrices = {}
+    for q in sorted(reps):
+        if q <= 0 or not reps[q]:
+            continue
+        row_index = {s: i for i, s in enumerate(reps[q - 1])}
+        rows = [dict() for _ in reps[q - 1]]
+        for j, s in enumerate(reps[q]):
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1:]
+                hit = transfer.get(face)
+                if hit is None:
+                    continue
+                rep, c = hit
+                ri = row_index[rep]
+                w = rows[ri].get(j, 0) + (-1 if i % 2 else 1) * c
+                if w:
+                    rows[ri][j] = w
+                elif j in rows[ri]:
+                    del rows[ri][j]
+        matrices[q] = rows
+    return reps, matrices
+
+
+def alt_betti(M: MultiPointComplex, guard=DEFAULT_MPC_SIMPLEX_GUARD):
+    """Dimensions of the homology of the alternating chain complex of M
+    (unreduced convention), from ``alt_chain_boundaries``; the empty tuple
+    for a void complex.  The ranks are the library's ``rank_of_rows``, as
+    in the closed form this is compared with."""
+    if M.complex.is_void():
+        return ()
+    reps, matrices = alt_chain_boundaries(M, guard=guard)
+    top = max(reps) if reps else -1
+    ranks = {q: rank_of_rows(m) for q, m in matrices.items()}
+    return tuple(len(reps.get(q, ())) - ranks.get(q, 0) - ranks.get(q + 1, 0)
+                 for q in range(top + 1))
+
+
 def e1_page_by_building(px, guard=DEFAULT_MPC_SIMPLEX_GUARD):
     """The E1 page with no up-front refusal and no stored page: build
     M_1..M_{r+1} in turn and let the first guard that fires refuse."""
@@ -449,6 +528,27 @@ def e1_page_by_building(px, guard=DEFAULT_MPC_SIMPLEX_GUARD):
     M_extra = multiple_point_complex(px, r + 1, guard=guard)
     extra = alt_betti(M_extra, guard=guard)
     return E1Page(r, table, all(n == 0 for n in extra))
+
+
+def make_box(intervals) -> Box:
+    """A box from (lo, hi) pairs of anything ``Fraction`` reads."""
+    return Box(tuple((Fraction(lo), Fraction(hi)) for lo, hi in intervals))
+
+
+def box_meet(boxes):
+    """Intersection of boxes, axis by axis: the largest start and the
+    smallest end; None if empty."""
+    boxes = list(boxes)
+    if not boxes:
+        raise FamilyError("intersection of an empty collection is undefined")
+    out = []
+    for axis in range(boxes[0].dimension):
+        lo = max(b.intervals[axis][0] for b in boxes)
+        hi = min(b.intervals[axis][1] for b in boxes)
+        if lo > hi:
+            return None
+        out.append((lo, hi))
+    return Box(tuple(out))
 
 
 def choice_boxes_by_product(fr, names):
@@ -481,7 +581,7 @@ def make_fr_family_by_product(base, grouping, r):
             raise FrValidationError(
                 "group %r has more than r=%d pieces" % (g, r), (g,))
         for a, b in combinations(pieces, 2):
-            if not boxes_disjoint(base.members[a], base.members[b]):
+            if box_meet([base.members[a], base.members[b]]) is not None:
                 raise FrValidationError(
                     "pieces %r and %r of group %r overlap" % (a, b, g), (g,))
     fam = FrFamily(base.dimension, base, groups, int(r))
@@ -494,7 +594,7 @@ def make_fr_family_by_product(base, grouping, r):
                     "intersection over %r splits into %d > r pieces"
                     % (sub, len(boxes)), sub)
             for (_, a), (_, b) in combinations(boxes, 2):
-                if not boxes_disjoint(a, b):
+                if box_meet([a, b]) is not None:
                     raise FrValidationError(
                         "intersection over %r has overlapping pieces"
                         % (sub,), sub)

@@ -10,14 +10,14 @@ PUBLIC_NAMES = [
     "AltChainComplex", "BettiVector", "Box", "BoxFamily", "ComplexError",
     "E1Page", "FrFamily", "GuardExceeded", "HellyReport", "LerayCertificate",
     "MultiPointComplex", "PartitionedComplex", "SimplicialComplex",
-    "UnionFamily", "alt_betti", "alt_chain_complex", "check_alt_chain_iso",
+    "UnionFamily", "alt_chain_complex", "check_alt_chain_iso",
     "check_amenta", "check_euler", "check_hl", "check_intersection_bound",
     "check_mps_vanishing", "check_projection_theorem",
     "check_proof_vanishing", "double_point_closure", "e1_page",
     "euler_characteristic", "extremal_example", "fiber_bound",
     "generalized_mpc", "helly_number", "helly_number_direct", "induced",
     "intersection", "leray_by_definition", "leray_by_links", "link",
-    "make_box", "make_complex", "make_fr_family", "make_partitioned",
+    "make_complex", "make_fr_family", "make_partitioned",
     "multiple_point_complex", "nerve", "pieces_projection", "project",
     "random_fr_family", "random_partitioned_complex", "reduced_betti",
     "subdivision", "sym_action", "unreduced_betti",
@@ -146,16 +146,6 @@ def test_library_public_names_are_exported_or_referenced():
     assert sorted(unexported - _names_read(trees, on_modules=True)) == []
 
 
-# Exported names that nothing outside the tests reads, each with its reason:
-UNREAD_EXPORTS = [
-    # the orbit scan's alternating homology, the reference the closed form
-    # is tested against; it leaves the library with the rest of the scan
-    "alt_betti",
-    # perfbench/layers.py names it only in a string, "helly.make_box"
-    "make_box",
-]
-
-
 def test_exported_names_are_read_outside_the_tests():
     # an exported name that only the tests read belongs in tests/oracles.py;
     # the package's __init__ only re-exports, so its reads do not count
@@ -163,4 +153,25 @@ def test_exported_names_are_read_outside_the_tests():
              if p.name != "__init__.py"]
     trees += [ast.parse(p.read_text()) for p in PERFBENCH.glob("*.py")]
     read = _names_read(trees, on_modules=True)
-    assert [n for n in _exported() if n not in read] == UNREAD_EXPORTS
+    assert [n for n in _exported() if n not in read] == []
+
+
+def _public_methods(tree):
+    """``Class.name`` for each public method and property that a module's
+    classes define."""
+    return {"%s.%s" % (node.name, f.name) for node in tree.body
+            if isinstance(node, ast.ClassDef) for f in node.body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+
+
+def test_library_public_methods_are_read_outside_the_tests():
+    # likewise for a method or property of a library class: the package or
+    # the benchmark must read it.  Methods are read off instances, so an
+    # attribute of that name off any object counts
+    trees = [ast.parse(p.read_text()) for p in LIBRARY.glob("*.py")]
+    methods = set().union(*map(_public_methods, trees))
+    assert len(methods) >= 10
+    trees += [ast.parse(p.read_text()) for p in PERFBENCH.glob("*.py")]
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)}
+    assert sorted(m for m in methods if m.split(".")[1] not in read) == []

@@ -7,21 +7,20 @@ import pytest
 from leraytop import (Box, BoxFamily, FrFamily, SimplicialComplex,
                       UnionFamily, check_amenta, check_hl,
                       fiber_bound, helly_number, helly_number_direct,
-                      make_box, make_fr_family,
-                      make_partitioned, nerve, pieces_projection, project,
-                      random_fr_family)
+                      make_fr_family, make_partitioned, nerve,
+                      pieces_projection, project, random_fr_family)
 from leraytop import helly as helly_mod
 from leraytop import core, multiproj
 from leraytop.core import _maximal
-from leraytop.helly import (FamilyError, FrValidationError, box_meet,
-                            boxes_disjoint, minimal_empty_subfamilies)
+from leraytop.helly import (FamilyError, FrValidationError, boxes_disjoint,
+                            minimal_empty_subfamilies)
 from leraytop.rng import CounterRng
 
 from oracles import (all_simplices_by_one_set, atom_empty_by_sets, atom_family,
-                     choice_boxes_by_product, f_vector, interval_family,
-                     leray_number, make_fr_family_by_product,
-                     minimal_empty_by_scan, minimal_empty_by_slicing,
-                     nerve_by_oracle)
+                     box_meet, choice_boxes_by_product, f_vector,
+                     interval_family, leray_number, make_box,
+                     make_fr_family_by_product, minimal_empty_by_scan,
+                     minimal_empty_by_slicing, nerve_by_oracle)
 
 
 @pytest.fixture(autouse=True)
@@ -55,6 +54,41 @@ def test_box_basics():
     assert box_meet([make_box([(0, 1)]), make_box([(2, 3)])]) is None
     assert boxes_disjoint(make_box([(0, 1)]), make_box([(2, 3)]))
     assert not boxes_disjoint(make_box([(0, 1)]), make_box([(1, 2)]))
+
+
+def _box_pair(rng, d):
+    """Two random boxes with endpoints on the halves in [0, 3]; in a third
+    of the pairs the second is a point, in another third it starts where
+    the first ends on one axis, so the two touch there or miss."""
+    def intervals():
+        return [sorted(Fraction(rng.randint(7), 2) for _ in range(2))
+                for _ in range(d)]
+    a, b = intervals(), intervals()
+    kind = rng.randint(3)
+    if kind == 1:
+        b = [(lo, lo) for lo, _ in b]
+    elif kind == 2:
+        axis = rng.randint(d)
+        lo, hi = b[axis]
+        b[axis] = (a[axis][1], a[axis][1] + hi - lo)
+    return Box(tuple(map(tuple, a))), Box(tuple(map(tuple, b)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_boxes_disjoint_matches_box_meet(d):
+    rng = CounterRng(700 + d)
+    touching = points = met = 0
+    for _ in range(3000):
+        a, b = _box_pair(rng, d)
+        disjoint = box_meet([a, b]) is None
+        assert boxes_disjoint(a, b) == boxes_disjoint(b, a) == disjoint
+        met += not disjoint
+        points += all(lo == hi for lo, hi in b.intervals)
+        touching += not disjoint and any(
+            hi == lo2 or hi2 == lo for (lo, hi), (lo2, hi2)
+            in zip(a.intervals, b.intervals))
+    # the closed-interval cases the endpoint test must get right occur
+    assert min(touching, points, met, 3000 - met) >= 300
 
 
 def test_nerve_examples():

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from leraytop import cli, make_complex
-from leraytop.helly import make_box
 from leraytop.io_json import (FormatError, complex_from_json, complex_to_json,
                               family_from_json, family_to_json,
                               parse_rational, partitioned_from_json,
@@ -14,7 +13,7 @@ from leraytop.io_json import (FormatError, complex_from_json, complex_to_json,
 from leraytop.multiproj import extremal_example, make_partitioned
 
 from childenv import child_env
-from oracles import solid_simplex
+from oracles import make_box, solid_simplex
 
 
 def test_complex_roundtrip_byte_identity():
