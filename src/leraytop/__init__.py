@@ -1,8 +1,9 @@
 """leraytop: exact-arithmetic simplicial topology at desk scale.
 
 Simplicial complexes, rational homology, Leray numbers, partitioned
-complexes and their projections, multiple-point complexes with their
-symmetric-group action, and Helly-number verification for box families.
+complexes and their projections, multiple-point complexes with the
+alternating chains of their symmetric-group action (built inside the
+orbit scan, not exported), and Helly-number verification for box families.
 """
 
 from .core import (ComplexError, GuardExceeded, SimplicialComplex, induced,
@@ -18,7 +19,7 @@ from .multiproj import (MultiPointComplex, PartitionedComplex,
                         random_partitioned_complex)
 from .icss import (AltChainComplex, E1Page, alt_chain_complex,
                    check_alt_chain_iso, check_euler, check_proof_vanishing,
-                   double_point_closure, e1_page, sym_action)
+                   double_point_closure, e1_page)
 from .helly import (Box, BoxFamily, FrFamily, HellyReport, UnionFamily,
                     check_amenta, check_hl, helly_number, helly_number_direct,
                     make_fr_family, nerve, pieces_projection,

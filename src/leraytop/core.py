@@ -114,11 +114,17 @@ class SimplicialComplex:
         exactly when the whole list is longer than the guard, and stops at
         the first facet that takes it past.  A facet f has 2^|f| faces, so
         when these sum to at most the guard the list cannot pass it, and
-        the running total is not taken.
+        the running total is not taken.  When the largest facet's faces
+        alone pass the guard, the enumeration is refused before any face
+        is built; otherwise each facet overshoots the guard by at most the
+        largest facet's 2^|f| faces.
         """
         if self._simplex_cache is None:
             facets = sorted(self.facets, key=len, reverse=True)
             checked = sum(1 << len(f) for f in facets) > guard
+            if checked and 1 << len(facets[0]) > guard:
+                raise GuardExceeded(
+                    "simplex enumeration exceeds guard %d" % guard)
             levels = []
             for f in facets:
                 if not levels:

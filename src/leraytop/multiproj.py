@@ -178,10 +178,6 @@ class MultiPointComplex:
     tuples: tuple
     equal_factors: bool
 
-    def vertex_index(self):
-        return {(p, t): i for i, (p, t) in
-                enumerate(zip(self.part_of_vertex, self.tuples))}
-
 
 def generalized_mpc(pxs,
                     guard=DEFAULT_MPC_SIMPLEX_GUARD) -> MultiPointComplex:

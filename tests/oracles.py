@@ -3,22 +3,28 @@ simplex-set operations, exhaustive enumeration of small complexes, a few
 named complexes with torsion or without hollow simplices, the unpruned
 or pre-optimisation forms of the library's fast paths, and small builders
 and invariants that only the tests need: simplex boundaries, joins and
-unions, graph clique complexes and chordality, box meets and the
-alternating homology of the orbit scan among them.
+unions, graph clique complexes and chordality, box meets, the symmetric
+action on multiple-point complexes and the alternating homology of the
+orbit scan among them.
 
 Everything here is deliberately naive.  Only ``alt_betti`` takes its ranks
 with the library's ``rank_of_rows``; nothing else shares a code path with
-the library's homology/rank implementation.
+the library's homology/rank implementation.  The other private library
+names imported here, pinned in ``test_api.py``, are helpers that compute
+none of what the oracles check: the guards ``_check_orbit_work``,
+``_check_simplex_count`` and ``_check_vertex_bound`` and the vertex-table
+check ``_check_same_table``, so that an oracle refuses as the library
+does, and ``_closed_facets``, which reads the facets off a face set.
 """
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from leraytop import (Box, BoxFamily, ComplexError, SimplicialComplex,
                       UnionFamily, leray_by_links, make_complex, project)
 from leraytop.core import _check_same_table, _closed_facets, as_simplex
 from leraytop.helly import FamilyError, FrFamily, FrValidationError
 from leraytop.homology import rank_of_rows
-from leraytop.icss import E1Page, _actions, _check_orbit_work
+from leraytop.icss import E1Page, _check_orbit_work
 from leraytop.multiproj import (DEFAULT_MPC_SIMPLEX_GUARD, MultiPointComplex,
                                 _check_simplex_count, _check_vertex_bound,
                                 fiber_bound, multiple_point_complex)
@@ -440,6 +446,47 @@ def fiber_bound_by_sections(px):
     return best, witness
 
 
+def sign_by_cycles(values):
+    """Sign of the permutation sorting distinct ``values``: (-1) to the
+    number of elements minus the number of cycles, or 0 on a repeat."""
+    if len(set(values)) < len(values):
+        return 0
+    target = sorted(range(len(values)), key=values.__getitem__)
+    seen, cycles = set(), 0
+    for start in range(len(values)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = target[i]
+    return (-1) ** (len(values) - cycles)
+
+
+def sym_action(M: MultiPointComplex, perm):
+    """The permutation ``perm`` of M's k coordinates as a map of vertex
+    indices: the vertex labelled (part, t) goes to the one labelled (part,
+    t permuted), read off ``M.complex.labels``."""
+    if not M.equal_factors:
+        raise ComplexError("the symmetric action needs equal factors")
+    labels = M.complex.labels
+    index = {label: v for v, label in enumerate(labels)}
+    return tuple(index[(part, tuple(t[j] for j in perm))]
+                 for part, t in labels)
+
+
+def act_on_simplex(vertex_map, simplex):
+    """The image of an oriented simplex: (sorted image, sign of sorting)."""
+    images = [vertex_map[v] for v in simplex]
+    return tuple(sorted(images)), sign_by_cycles(images)
+
+
+def sym_actions(M: MultiPointComplex):
+    """(sign, vertex map) of each permutation of M's k coordinates."""
+    return [(sign_by_cycles(perm), sym_action(M, perm))
+            for perm in permutations(range(M.k))]
+
+
 def alt_chain_boundaries(M: MultiPointComplex,
                          guard=DEFAULT_MPC_SIMPLEX_GUARD):
     """The full orbit scan of M: (reps, matrices), the orbit-representative
@@ -447,9 +494,9 @@ def alt_chain_boundaries(M: MultiPointComplex,
     to it, ``matrices[q]`` as sparse rows over ``reps[q - 1]``.  Each
     scanned simplex is mapped to its orbit's representative with the sign
     of the group element that takes one to the other, or to None when its
-    orbit dies; the guards are checked as ``icss.alt_chain_complex`` checks
-    them."""
-    actions = _actions(M)
+    orbit dies; the refusals come as ``icss.alt_chain_complex`` raises
+    them, with the action of ``sym_actions``."""
+    actions = sym_actions(M)
     simplices = M.complex.all_simplices(guard=guard)
     _check_orbit_work(len(simplices), len(actions))
     by_deg = {}
@@ -465,8 +512,8 @@ def alt_chain_boundaries(M: MultiPointComplex,
                 continue
             alive = True
             orbit = {}
-            for gsign, act in actions:
-                t, eps = act.on_simplex(s)
+            for gsign, vmap in actions:
+                t, eps = act_on_simplex(vmap, s)
                 if t == s and gsign * eps == -1:
                     alive = False
                 if t not in orbit:

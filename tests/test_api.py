@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "make_complex", "make_fr_family", "make_partitioned",
     "multiple_point_complex", "nerve", "pieces_projection", "project",
     "random_fr_family", "random_partitioned_complex", "reduced_betti",
-    "subdivision", "sym_action", "unreduced_betti",
+    "subdivision", "unreduced_betti",
 ]
 
 
@@ -175,3 +175,22 @@ def test_library_public_methods_are_read_outside_the_tests():
     read = {n.attr for tree in trees for n in ast.walk(tree)
             if isinstance(n, ast.Attribute)}
     assert sorted(m for m in methods if m.split(".")[1] not in read) == []
+
+
+# The private library names the oracles share.  Each is a helper that
+# computes none of what the oracles check: the guards, so that an oracle
+# refuses as the library does, the vertex-table check, and the reading of
+# facets off a face set that is closed under faces.
+ORACLE_PRIVATE_IMPORTS = [
+    "_check_orbit_work", "_check_same_table", "_check_simplex_count",
+    "_check_vertex_bound", "_closed_facets",
+]
+
+
+def test_oracles_share_only_the_pinned_private_names():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "leraytop"
+                for a in node.names if a.name.startswith("_")}
+    assert sorted(imported) == ORACLE_PRIVATE_IMPORTS

@@ -4,6 +4,7 @@ import pytest
 
 from leraytop import (ComplexError, GuardExceeded, induced, intersection,
                       link, make_complex, reduced_betti, subdivision)
+from leraytop import core
 from leraytop.core import (SimplicialComplex, _bits, _closed_facets,
                            _maximal, _strong_core, _vertices, as_simplex)
 from leraytop.multiproj import random_complex
@@ -86,6 +87,27 @@ def test_all_simplices_guard_refuses_past_the_count_fresh_and_cached():
         assert len(Y.all_simplices(include_empty=True, guard=n)) == n
         with pytest.raises(GuardExceeded):
             Y.all_simplices(guard=n - 1)
+
+
+def test_guard_refuses_a_large_facet_before_building_a_face(monkeypatch):
+    # the 2^20 faces of a simplex on 20 vertices alone pass guard 10, so
+    # none is built
+    built = []
+
+    def counting(facet, q):
+        for face in combinations(facet, q):
+            built.append(face)
+            yield face
+
+    X, Y = solid_simplex(range(20)), solid_simplex(range(3))
+    monkeypatch.setattr(core, "combinations", counting)
+    with pytest.raises(GuardExceeded,
+                       match="^simplex enumeration exceeds guard 10$"):
+        X.all_simplices(guard=10)
+    assert built == []
+    # a facet whose faces fit goes through the counted enumeration
+    assert len(Y.all_simplices(guard=10)) == 7
+    assert len(built) == 8
 
 
 def test_dim_is_the_largest_facet_size_minus_one():

@@ -6,22 +6,23 @@ import pytest
 
 from leraytop import (GuardExceeded, alt_chain_complex,
                       check_alt_chain_iso, check_euler, check_proof_vanishing,
-                      double_point_closure, e1_page, make_complex,
-                      multiple_point_complex, project, sym_action,
+                      double_point_closure, e1_page, generalized_mpc,
+                      make_complex, multiple_point_complex, project,
                       unreduced_betti)
 from leraytop import cli, icss, multiproj
 from leraytop.cli import _hmps_instances, _lproj_instance
 from leraytop.core import ComplexError
 from leraytop.homology import rank_of_rows
-from leraytop.icss import _actions, _sort_sign, perm_sign
+from leraytop.icss import _sort_sign
 from leraytop.io_json import partitioned_to_json
 from leraytop.multiproj import (PartitionedComplex, _section_table,
                                 fiber_bound, make_partitioned, random_complex,
                                 random_partitioned_complex, extremal_example)
 from leraytop.rng import CounterRng
 
-from oracles import (alt_betti, alt_chain_boundaries, e1_page_by_building,
-                     f_vector, solid_simplex)
+from oracles import (act_on_simplex, alt_betti, alt_chain_boundaries,
+                     e1_page_by_building, f_vector, sign_by_cycles,
+                     solid_simplex, sym_action, sym_actions)
 
 
 def two_points_one_part():
@@ -33,34 +34,14 @@ def singleton_px(X):
 
 
 def test_perm_sign():
-    assert perm_sign((0, 1, 2)) == 1
-    assert perm_sign((1, 0, 2)) == -1
-    assert perm_sign((1, 2, 0)) == 1
-    for bad in ((0, 0), (2,)):
-        with pytest.raises(ComplexError, match="not a permutation"):
-            perm_sign(bad)
+    assert _sort_sign((0, 1, 2)) == 1
+    assert _sort_sign((1, 0, 2)) == -1
+    assert _sort_sign((1, 2, 0)) == 1
     # the parity of the inversion count, on every permutation of <= 6
     for n in range(7):
         for p in permutations(range(n)):
             inversions = sum(a > b for a, b in combinations(p, 2))
-            assert perm_sign(p) == _sort_sign(p) == (-1) ** inversions
-
-
-def _sign_by_cycles(values):
-    """Sign of the permutation sorting distinct ``values``: (-1) to the
-    number of elements minus the number of cycles, or 0 on a repeat."""
-    if len(set(values)) < len(values):
-        return 0
-    target = sorted(range(len(values)), key=values.__getitem__)
-    seen, cycles = set(), 0
-    for start in range(len(values)):
-        if start not in seen:
-            cycles += 1
-            i = start
-            while i not in seen:
-                seen.add(i)
-                i = target[i]
-    return (-1) ** (len(values) - cycles)
+            assert _sort_sign(p) == (-1) ** inversions
 
 
 def test_sort_sign_matches_cycle_sign():
@@ -69,34 +50,46 @@ def test_sort_sign_matches_cycle_sign():
         for p in permutations(range(n)):
             # spread out, so the values are not positions
             values = [3 * v - 7 for v in p]
-            assert _sort_sign(values) == _sign_by_cycles(values)
+            assert _sort_sign(values) == sign_by_cycles(values)
             assert _sort_sign(tuple(values)) == _sort_sign(iter(values))
     for _ in range(500):
         values = [rng.randint(5) for _ in range(rng.randint(7))]
-        assert _sort_sign(values) == _sign_by_cycles(values)
+        assert _sort_sign(values) == sign_by_cycles(values)
     assert _sort_sign([2, 2]) == _sort_sign([0, 1, 0]) == 0
     assert _sort_sign([]) == _sort_sign([4]) == 1
 
 
 def test_sym_action_examples():
     M = multiple_point_complex(two_points_one_part(), 2)
-    ident = sym_action(M, (0, 1))
-    assert ident.vertex_map == tuple(range(M.complex.vertex_count))
+    assert sym_action(M, (0, 1)) == tuple(range(M.complex.vertex_count))
     swap = sym_action(M, (1, 0))
-    idx = M.vertex_index()
-    assert swap.vertex_map[idx[(0, (0, 1))]] == idx[(0, (1, 0))]
+    idx = {label: v for v, label in enumerate(M.complex.labels)}
+    assert swap[idx[(0, (0, 1))]] == idx[(0, (1, 0))]
     # diagonal vertices are fixed, with sign +1
     v = idx[(0, (0, 0))]
-    assert swap.on_simplex((v,)) == ((v,), 1)
-    with pytest.raises(ComplexError):
-        sym_action(M, (0, 0))
+    assert act_on_simplex(swap, (v,)) == ((v,), 1)
+
+
+def test_alt_chain_complex_needs_equal_factors():
+    px = two_points_one_part()
+    other = make_partitioned(make_complex([[0]], vertex_count=2), px.parts)
+    M = generalized_mpc([px, other])
+    assert not M.equal_factors and M.complex.all_simplices()
+    # refused before anything is listed: guard 0 would refuse too
+    for guard in (0, multiproj.DEFAULT_MPC_SIMPLEX_GUARD):
+        with pytest.raises(ComplexError,
+                           match="^the symmetric action needs equal factors$"):
+            alt_chain_complex(M, guard=guard)
+        with pytest.raises(ComplexError,
+                           match="^the symmetric action needs equal factors$"):
+            alt_chain_boundaries(M, guard=guard)
 
 
 def _projector_image(M, simplex):
     """Alt(simplex) without the 1/k! factor, as a chain dict."""
     out = {}
-    for gsign, act in _actions(M):
-        t, eps = act.on_simplex(simplex)
+    for gsign, vmap in sym_actions(M):
+        t, eps = act_on_simplex(vmap, simplex)
         c = gsign * eps
         if c:
             out[t] = out.get(t, 0) + c
@@ -157,15 +150,15 @@ def test_action_commutes_with_boundary(seed):
             out[s[:i] + s[i + 1:]] = coeff * (-1 if i % 2 else 1)
         return out
 
-    for _, act in _actions(M):
+    for _, vmap in sym_actions(M):
         for s in M.complex.all_simplices():
             if len(s) < 2:
                 continue
-            t, eps = act.on_simplex(s)
+            t, eps = act_on_simplex(vmap, s)
             lhs = boundary(t, eps)
             rhs = {}
             for face, c in boundary(s, 1).items():
-                ft, feps = act.on_simplex(face)
+                ft, feps = act_on_simplex(vmap, face)
                 rhs[ft] = rhs.get(ft, 0) + c * feps
             rhs = {u: c for u, c in rhs.items() if c}
             lhs = {u: c for u, c in lhs.items() if c}
@@ -292,6 +285,18 @@ def test_work_guard(monkeypatch):
     M = multiple_point_complex(px, 2)
     monkeypatch.setattr(icss, "DEFAULT_ALT_WORK_GUARD", 3)
     with pytest.raises(GuardExceeded):
+        alt_chain_complex(M)
+
+
+def test_work_guard_refuses_before_the_vertex_maps(monkeypatch):
+    # M_10 of a triangle with singleton parts is the triangle; its 7
+    # simplices under 10! permutations pass the work guard, and none of the
+    # 10! vertex maps is built
+    px = singleton_px(make_complex([[0, 1, 2]]))
+    M = multiple_point_complex(px, 10)
+    monkeypatch.setattr(icss, "permutations", None)
+    with pytest.raises(GuardExceeded, match=r"^alternating-orbit scan "
+                       r"\(7 simplices x 3628800 group elements\)"):
         alt_chain_complex(M)
 
 

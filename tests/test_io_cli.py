@@ -85,6 +85,18 @@ def test_cli_homology(tmp_path, capsys):
     assert json.loads(out)["reduced"] == [0, 1]
 
 
+def test_cli_homology_refuses_a_large_simplex_at_once():
+    # the 29-simplex has 2^30 faces; the guard refuses it before it builds
+    # any, so the run ends well inside the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "leraytop.cli", "homology", "-"],
+        input=complex_to_json(solid_simplex(range(30))),
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: simplex enumeration exceeds guard %d\n" \
+        % cli.DEFAULT_MPC_SIMPLEX_GUARD
+
+
 def test_cli_leray_both_on_simplex(tmp_path, capsys):
     f = tmp_path / "simplex.json"
     f.write_text(complex_to_json(solid_simplex(range(4))))

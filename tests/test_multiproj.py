@@ -14,13 +14,13 @@ from leraytop.core import (SimplicialComplex, _closed_facets, _maximal,
                            make_complex as _mk)
 from leraytop.multiproj import (_check_vertex_bound, _section_table,
                                 make_partitioned, random_complex)
-from leraytop.icss import e1_page, sym_action
+from leraytop.icss import e1_page
 from leraytop.rng import CounterRng
 
-from oracles import (boundary_complex, contains, f_vector,
+from oracles import (act_on_simplex, boundary_complex, contains, f_vector,
                      fiber_bound_by_sections, is_isomorphism, leray_number,
                      mpc_by_sections, relabel, section_table_by_sorting,
-                     solid_simplex)
+                     solid_simplex, sym_action)
 
 
 def two_points_one_part():
@@ -245,9 +245,9 @@ def test_simplex_factor_gives_induced_subcomplex(seed):
 def test_symmetric_action_closure(seed):
     px = random_partitioned_complex(3, [2, 2, 2], 2, 0.6, seed + 900)
     M = multiple_point_complex(px, 2)
-    act = sym_action(M, (1, 0))
+    swap = sym_action(M, (1, 0))
     for f in M.complex.facets:
-        image, sign = act.on_simplex(f)
+        image, sign = act_on_simplex(swap, f)
         assert sign != 0
         assert contains(M.complex, image)
 
