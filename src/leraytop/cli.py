@@ -297,10 +297,10 @@ def _cmd_check(args):
     text = _read_text(args.file)
     if args.kind == "lproj":
         px = io_json.partitioned_from_json(text)
-        report = check_projection_theorem(px, guard=args.guard)
+        reports = [check_projection_theorem(px, guard=args.guard)]
     elif args.kind == "hmps":
         px = io_json.partitioned_from_json(text)
-        report = check_mps_vanishing([px, px], guard=args.guard)
+        reports = [check_mps_vanishing([px, px], guard=args.guard)]
     elif args.kind == "inter":
         raise io_json.FormatError(
             "check inter needs --count (it draws random pairs)")
@@ -310,18 +310,21 @@ def _cmd_check(args):
             "leraytop amenta FILE")
     elif args.kind == "icss":
         px = io_json.partitioned_from_json(text)
-        report = icss_mod.check_euler(px, guard=args.guard)
+        reports = [icss_mod.check_euler(px, guard=args.guard),
+                   icss_mod.check_proof_vanishing(px, guard=args.guard)]
     elif args.kind == "hl":
         d, members = io_json.family_from_json(text)
-        report = helly_mod.check_hl(helly_mod.UnionFamily(d, members))
+        reports = [helly_mod.check_hl(helly_mod.UnionFamily(d, members))]
     else:
         raise io_json.FormatError("unknown check kind %r" % (args.kind,))
-    report["instance"] = {"kind": args.kind, "source": args.file or "stdin"}
-    _emit(report)
-    print("%s: %s" % (report["claim"],
-                      "holds" if report["holds"] else "FAILURE"),
-          file=sys.stderr)
-    return EXIT_OK if report["holds"] else EXIT_CLAIM_FAILED
+    for report in reports:
+        report["instance"] = {"kind": args.kind,
+                              "source": args.file or "stdin"}
+        _emit(report)
+        print("%s: %s" % (report["claim"],
+                          "holds" if report["holds"] else "FAILURE"),
+              file=sys.stderr)
+    return EXIT_OK if all(r["holds"] for r in reports) else EXIT_CLAIM_FAILED
 
 
 def _nonnegative_int(text):

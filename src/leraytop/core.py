@@ -247,6 +247,42 @@ def _meet(facets, s):
     return common
 
 
+def _minimal_non_faces(faces, universe):
+    """Yield, as bitmasks, each nonempty set t of vertices of the bitmask
+    ``universe`` that is not in the list of bitmasks ``faces`` (sets of
+    those vertices) while each of its codimension-1 faces is.  When
+    ``faces`` is closed under faces, empty face included, these are its
+    minimal non-faces.  Each t comes once, as s + j with j = max t and
+    s = t - j.
+
+    One marking pass, as in ``_closed_facets``, gives each codimension-1
+    face g of a member the bitmask N(g) of the vertices j with g + j in
+    ``faces``.  So s + j, for s in ``faces`` and j above max s, is such a
+    t exactly when j is outside N(s) and inside N(s - u) for every u in s:
+    one AND per codimension-1 face of s gives all of its j.
+    """
+    around = {}
+    for f in faces:
+        rest = f
+        while rest:
+            u = rest & -rest
+            g = f ^ u
+            around[g] = around.get(g, 0) | u
+            rest ^= u
+    for s in faces:
+        top = s.bit_length()
+        new = (universe & ~around.get(s, 0)) >> top << top
+        rest = s
+        while rest and new:
+            u = rest & -rest
+            new &= around[s ^ u]
+            rest ^= u
+        while new:
+            j = new & -new
+            yield s | j
+            new ^= j
+
+
 def _vertices(mask) -> tuple:
     """The simplex of a bitmask, the inverse of ``_bits``."""
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)

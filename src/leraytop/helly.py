@@ -19,7 +19,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .core import SimplicialComplex
+from .core import (SimplicialComplex, _bits, _minimal_non_faces,
+                   _vertices)
 from .leray import leray_by_links
 from .multiproj import fiber_bound, make_partitioned, project
 from .rng import CounterRng
@@ -117,26 +118,22 @@ class _WalkFamily:
       so its keys are the simplices of the nerve in ``all_simplices``
       order.  ``_piece_faces`` lists the box sets by size and then
       lexicographically.
-    * ``_reach`` maps each key K, and the empty subfamily, to the bitmask
-      N(K) of the members j with K + j a face: the owners of the boxes
-      that meet every box of some box set over K.  The walk never pairs
-      two boxes of one owner, so N(K) holds no member of K.
     * ``_piece_facets`` are the maximal box sets (their AND is 0), the
       facets of the pieces nerve when the boxes of a member are disjoint,
-      and ``_nerve_facets`` the keys K with N(K) = 0, the facets of the
-      nerve: K + j is a face exactly when some box set over K extends by
-      a box of j.
+      and ``_nerve_facets`` the keys over which every box set is maximal,
+      the facets of the nerve: K + j is a face exactly when some box set
+      over K extends by a box of j.
 
     ``_nerve`` keeps the nerve once ``nerve`` has built it.
     """
-    _faces = _piece_faces = _reach = _piece_facets = _nerve_facets = None
+    _faces = _piece_faces = _piece_facets = _nerve_facets = None
     _nerve = None
 
     def _walk(self):
         members = self._member_boxes()
         owner = [m for m, boxes in enumerate(members) for _ in boxes]
         boxes = _scaled(self.dimension, [b for bs in members for b in bs])
-        table, subs, facets, around = {}, [], [], {}
+        table, subs, facets, extends = {}, [], [], set()
         for level in _meet_walk(boxes, owner):
             keys = {}
             for sub, common in level:
@@ -144,29 +141,14 @@ class _WalkFamily:
                 keys.setdefault(key, []).append(sub)
                 subs.append(sub)
                 if common:
-                    around[key] = around.get(key, 0) | common
+                    extends.add(key)
                 else:
                     facets.append(sub)
             self._check_size(keys)
             table.update(keys)
-        # a member's boxes are one run of bits, so the first box of an
-        # owner found in a mask clears all of its boxes at once
-        clear, start = [], 0
-        for bs in members:
-            clear += [~(((1 << len(bs)) - 1) << start)] * len(bs)
-            start += len(bs)
-        reach = dict.fromkeys(table, 0)
-        reach[()] = sum(1 << m for m, bs in enumerate(members) if bs)
-        for key, mask in around.items():
-            out = 0
-            while mask:
-                i = (mask & -mask).bit_length() - 1
-                out |= 1 << owner[i]
-                mask &= clear[i]
-            reach[key] = out
-        found = dict(_faces=table, _piece_faces=subs, _reach=reach,
-                     _piece_facets=facets,
-                     _nerve_facets=[key for key in table if not reach[key]])
+        found = dict(_faces=table, _piece_faces=subs, _piece_facets=facets,
+                     _nerve_facets=[key for key in table
+                                    if key not in extends])
         for name, value in found.items():
             object.__setattr__(self, name, value)
 
@@ -243,30 +225,14 @@ def _check_cap(names, cap):
 def minimal_empty_subfamilies(family, cap=MEMBER_CAP):
     """Inclusion-minimal subfamilies with empty intersection (the minimal
     non-faces of the nerve), as name tuples by size and then
-    lexicographically.
-
-    Each is a face s (the empty one included) extended by one larger index
-    j, whose other codimension-1 faces s - s_i + j are faces too.  In the
-    walk's masks (``_WalkFamily``) these j are the members above max(s)
-    outside N(s) and inside N(s - s_i) for every i: one AND per
-    codimension-1 face of s gives them all."""
+    lexicographically: ``_minimal_non_faces`` on the bitmasks of the
+    walk's faces (``_WalkFamily``) and of the empty subfamily."""
     names = family.names
     _check_cap(names, cap)
-    family._nonempty()
-    reach = family._reach
-    everyone = (1 << len(names)) - 1
-    out = []
-    for s, mask in reach.items():
-        top = s[-1] + 1 if s else 0
-        new = (everyone & ~mask) >> top << top
-        for i in range(len(s)):
-            if not new:
-                break
-            new &= reach[s[:i] + s[i + 1:]]
-        while new:
-            out.append(s + ((new & -new).bit_length() - 1,))
-            new &= new - 1
-    out.sort(key=lambda c: (len(c), c))
+    faces = [0] + [_bits(K) for K in family._nonempty()]
+    out = sorted(map(_vertices,
+                     _minimal_non_faces(faces, (1 << len(names)) - 1)),
+                 key=lambda c: (len(c), c))
     return [tuple(names[i] for i in c) for c in out]
 
 

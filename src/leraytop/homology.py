@@ -7,14 +7,16 @@ One top-down loop (``_betti_from_top``) gives the reduced Betti numbers
 degree by degree, one new rank per degree.  ``reduced_betti`` takes the
 whole vector from it.  ``top_nonzero_degree`` answers the Leray scan's one
 question, the top nonzero degree, by one certificate (a hollow simplex, for
-the top degree) and otherwise by the first nonzero degree the loop gives.
+the top degree, found by ``core._minimal_non_faces``) and otherwise by the
+first nonzero degree the loop gives.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
 
-from .core import DEFAULT_SIMPLEX_GUARD, SimplicialComplex
+from .core import (DEFAULT_SIMPLEX_GUARD, SimplicialComplex, _bits,
+                   _minimal_non_faces)
 
 
 @dataclass(frozen=True)
@@ -138,29 +140,15 @@ def _hollow_simplex(X: SimplicialComplex) -> bool:
     """True when X, of dimension d >= 0, contains the boundary of a
     (d+1)-simplex: d+2 vertices whose d+2 d-faces are all facets of X.
 
-    Works on the bitmasks of the d-facets.  ``comp[g]`` has bit w set when
-    g + w is a d-facet, for each codimension-1 face g of a d-facet, and
-    the face of f without its vertex bit u is f ^ u.  A vertex w outside
-    the d-facet f is in the AND of comp[f ^ u] over u in f exactly when
-    every f - u + w is a d-facet, i.e. when f + w is such a hollow simplex.
+    These are the sets that ``_minimal_non_faces`` finds among the
+    bitmasks of the d-facets: no (d+2)-set is a facet, and each of its
+    codimension-1 faces is a d-facet.  Each set found is a nonzero mask.
     """
     d = X.dim
     if d < 0:
         return False
-    top = [[1 << v for v in f] for f in X.facets if len(f) == d + 1]
-    comp = {}
-    for us in top:
-        f = sum(us)
-        for u in us:
-            comp[f ^ u] = comp.get(f ^ u, 0) | u
-    for us in top:
-        f = sum(us)
-        common = -1
-        for u in us:
-            common &= comp[f ^ u]
-        if common & ~f:
-            return True
-    return False
+    top = [_bits(f) for f in X.facets if len(f) == d + 1]
+    return any(_minimal_non_faces(top, (1 << X.vertex_count) - 1))
 
 
 def top_nonzero_degree(X: SimplicialComplex, above=-1,

@@ -58,10 +58,13 @@ def test_library_modules_use_every_name_they_import():
     assert {name: u for name, u in unused.items() if u} == {}
 
 
-def _private_top_level_names(tree):
-    """The private names a module's top level defines or assigns."""
+def _private_names_defined(tree):
+    """The private names a module's top level or one of its class bodies
+    defines or assigns."""
+    bodies = [tree.body] + [node.body for node in tree.body
+                            if isinstance(node, ast.ClassDef)]
     names = set()
-    for node in tree.body:
+    for node in (node for body in bodies for node in body):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -123,12 +126,12 @@ def _names_read(trees, on_modules=False):
 
 
 def test_library_private_names_are_all_referenced():
-    # a private helper that nothing reads is dead code: each one must be
-    # read by name, as an attribute or through an import somewhere in the
-    # package.  Any attribute counts, since private methods are read off
-    # instances (``self._walk``)
+    # a private helper, method or class attribute that nothing reads is
+    # dead code: each one must be read by name, as an attribute or through
+    # an import somewhere in the package.  Any attribute counts, since
+    # private methods and attributes are read off instances (``self._walk``)
     trees = [ast.parse(p.read_text()) for p in LIBRARY.glob("*.py")]
-    defined = set().union(*map(_private_top_level_names, trees))
+    defined = set().union(*map(_private_names_defined, trees))
     assert len(defined) >= 20
     assert sorted(defined - _names_read(trees)) == []
 

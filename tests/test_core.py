@@ -6,15 +6,17 @@ from leraytop import (ComplexError, GuardExceeded, induced, intersection,
                       link, make_complex, reduced_betti, subdivision)
 from leraytop import core
 from leraytop.core import (SimplicialComplex, _bits, _closed_facets,
-                           _maximal, _strong_core, _vertices, as_simplex)
+                           _maximal, _minimal_non_faces, _strong_core,
+                           _vertices, as_simplex)
 from leraytop.multiproj import random_complex
 from leraytop.rng import CounterRng
 
 from oracles import (all_faces, all_simplices_by_one_set, boundary_complex,
                      clique_complex, contains, empty_complex,
                      enumerate_complexes, f_vector, is_chordal, join,
-                     link_facets_by_maximal, maximal_by_pairs, solid_simplex,
-                     union, void_complex)
+                     link_facets_by_maximal, maximal_by_pairs,
+                     minimal_empty_by_scan, solid_simplex, union,
+                     void_complex)
 
 
 def hollow_triangle():
@@ -318,6 +320,18 @@ def test_closed_facets_match_maximal_on_small_complexes():
     for facets in enumerate_complexes(4):
         for faces in (all_faces(facets), all_faces(facets, True)):
             assert _closed_facets(faces) == _maximal(faces)
+
+
+def test_minimal_non_faces_match_the_subset_scan_on_every_small_complex():
+    # minimal non-faces of every size, on every complex on at most 5
+    # vertices; the empty complex's are the five vertices
+    names = range(5)
+    for facets in enumerate_complexes(5):
+        faces = [_bits(s) for s in all_faces(facets, include_empty=True)]
+        found = sorted(map(_vertices, _minimal_non_faces(faces, 31)),
+                       key=lambda c: (len(c), c))
+        X = SimplicialComplex(5, facets)
+        assert found == minimal_empty_by_scan(names, X), facets
 
 
 def test_maximal_matches_pairwise_on_every_small_complex():

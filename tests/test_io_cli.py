@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from leraytop import cli, make_complex
+from leraytop import icss as icss_mod
 from leraytop.io_json import (FormatError, complex_from_json, complex_to_json,
                               family_from_json, family_to_json,
                               parse_rational, partitioned_from_json,
@@ -136,6 +137,28 @@ def test_cli_example_pipe_check_lproj(monkeypatch, capsys):
     assert cli.run(["check", "lproj", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["holds"] and rep["tight"]
+
+
+def test_cli_check_icss_file_reports_and_fails_on_the_vanishing_check(
+        tmp_path, monkeypatch, capsys):
+    f = tmp_path / "px.json"
+    f.write_text(partitioned_to_json(extremal_example(2, 2)))
+    assert cli.run(["check", "icss", str(f)]) == 0
+    reports = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [(r["claim"], r["holds"]) for r in reports] == [
+        ("e1_euler_consistency", True), ("proof_region_vanishing", True)]
+
+    def violated(px, guard):
+        return {"claim": "proof_region_vanishing",
+                "violations": [(0, 3, 1)], "holds": False}
+
+    monkeypatch.setattr(icss_mod, "check_proof_vanishing", violated)
+    assert cli.run(["check", "icss", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert [json.loads(l)["holds"] for l in captured.out.splitlines()] == [
+        True, False]
+    assert captured.err == ("e1_euler_consistency: holds\n"
+                            "proof_region_vanishing: FAILURE\n")
 
 
 def test_cli_check_batches_hold(capsys):
